@@ -13,11 +13,10 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .chain import ChainState, InstitutionInfo
 from .chameleon import ChameleonKeys, ch_hash, ch_keygen, message_scalar
-from .envelope import SealedEmr, SymmetricKey, seal_emr, symmetric_key_from_seed, unseal_layer
+from .envelope import SymmetricKey, seal_emr, symmetric_key_from_seed, unseal_layer
 from .group import BilinearGroup
 from .signing import KeyPair, address_of, keypair_from_seed
 from .tx import (
@@ -70,7 +69,6 @@ class PatientActor:
     keypair: KeyPair
     address: str
     registered: bool = False
-    own_tx_ids: list = field(default_factory=list)
     plaintext_holdings: set = field(default_factory=set)
 
 
@@ -123,16 +121,6 @@ def setup_institution(seed: bytes, group: BilinearGroup) -> InstitutionActor:
     )
 
 
-def setup(seed: bytes, role: str, group: Optional[BilinearGroup] = None):
-    if role == "patient":
-        return setup_patient(seed)
-    if role == "institution":
-        if group is None:
-            raise ValueError("institution setup needs the bilinear group")
-        return setup_institution(seed, group)
-    raise ValueError(f"unknown role {role!r}")
-
-
 # -- protocol operations ----------------------------------------------------
 
 
@@ -148,9 +136,7 @@ def register(
         receiver_id=institution.address,
         identity_digest=hashlib.sha256(identity_info).digest(),
     )
-    tx = build_tx(TxType.REGISTER, payload, patient.keypair, group, fee=fee)
-    patient.own_tx_ids.append(tx.tx_id)
-    return tx
+    return build_tx(TxType.REGISTER, payload, patient.keypair, group, fee=fee)
 
 
 def _seal_and_digest(
@@ -187,7 +173,7 @@ def upload(
         pointer=pointer,
         round_number=chain.current_round,
     )
-    tx = build_tx(
+    return build_tx(
         TxType.MEDICAL,
         payload,
         patient.keypair,
@@ -195,8 +181,6 @@ def upload(
         fee=fee,
         receiver_hk=institution.ch_keys.hk,
     )
-    patient.own_tx_ids.append(tx.tx_id)
-    return tx
 
 
 def label(
@@ -223,7 +207,7 @@ def label(
         pointer=pointer,
         round_number=chain.current_round,
     )
-    tx = build_tx(
+    return build_tx(
         TxType.LABEL,
         payload,
         patient.keypair,
@@ -231,8 +215,6 @@ def label(
         fee=fee,
         receiver_hk=institution.ch_keys.hk,
     )
-    patient.own_tx_ids.append(tx.tx_id)
-    return tx
 
 
 def share(

@@ -26,21 +26,24 @@ from .tx import Transaction
 
 
 class Adversary:
-    """Honest-equivalent default hooks; subclasses override selectively."""
+    """Honest-equivalent default hooks; subclasses override selectively.
+
+    Used as is when the scenario has no adversary."""
 
     kind = "none"
     joins_as_miner = False
 
     def __init__(self, config: ScenarioConfig):
-        self.config = config
+        # the simulator assigns the institution the adversary controls and,
+        # for inhibition, the institution it starves
         self.miner_id: Optional[str] = None
+        self.victim_id: Optional[str] = None
 
     def active(self, round_number: int) -> bool:
         return True
 
     def mining_view(self, chain: ChainState) -> Optional[ChainView]:
-        """View to mine on; None mines the honest tip, and a strategy may
-        also return None to skip mining this round entirely."""
+        """View to mine on, or None to skip mining this round."""
         return chain.view()
 
     def on_solution(self, round_number: int, block: KeyBlock) -> Optional[KeyBlock]:
@@ -140,15 +143,12 @@ class InhibitionMember(Adversary):
     kind = "inhibition"
     joins_as_miner = False  # an existing miner turns inhibitor
 
-    def __init__(self, config: ScenarioConfig):
-        super().__init__(config)
-        self.victim_id: Optional[str] = None  # set by the simulator
-
     def votes_for_tx(self, tx: Transaction) -> bool:
         return tx.payload.receiver_id != self.victim_id
 
 
 _STRATEGIES = {
+    "none": Adversary,
     "selfish": SelfishMiner,
     "flash": FlashMiner,
     "fraud": FraudInstitution,
@@ -156,7 +156,5 @@ _STRATEGIES = {
 }
 
 
-def make_adversary(config: ScenarioConfig) -> Optional[Adversary]:
-    if config.adversary_type == "none":
-        return None
+def make_adversary(config: ScenarioConfig) -> Adversary:
     return _STRATEGIES[config.adversary_type](config)

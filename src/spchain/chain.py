@@ -8,7 +8,7 @@ themselves are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .blocks import (
@@ -71,7 +71,6 @@ class ChainView:
     tip_hash: bytes
     penu_microblock_hash: bytes
     genesis_keyblock_hash: bytes = GENESIS_KEYBLOCK_HASH
-    genesis_microblock_hash: bytes = GENESIS_MICROBLOCK_HASH
 
     def pinned_hash_at(self, height: int) -> Optional[bytes]:
         for h, digest in self.pinned:
@@ -100,9 +99,6 @@ class ChainState:
 
     def register_institution(self, info: InstitutionInfo) -> None:
         self.institutions[info.institution_id] = info
-
-    def is_registered_patient(self, public_key: bytes) -> bool:
-        return public_key in self._patients_by_pk
 
     def patient_id_for(self, public_key: bytes) -> Optional[str]:
         return self._patients_by_pk.get(public_key)

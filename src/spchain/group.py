@@ -95,9 +95,6 @@ class BilinearGroup:
 
     # -- sampling and hashing ------------------------------------------
 
-    def random_scalar(self, rng: random.Random) -> int:
-        return rng.randrange(self.p)
-
     def random_nonzero_scalar(self, rng: random.Random) -> int:
         while True:
             x = rng.randrange(self.p)

@@ -5,8 +5,8 @@ chunks: per-chunk register and medical/label counts are turned into means
 and root-mean-square deviations of per-chunk rates, combined into a
 single activity measure x, and squashed through the bounded increasing
 map f(x) = (1 + (x - a) / (lam + |x - a|)) / 2. A dishonest miner scores
-zero regardless of history. The mining-history score r1 is a pluggable
-strategy; the default scores the miner's share of pinned keyblocks.
+zero regardless of history. The mining-history score r1 is the miner's
+share of pinned keyblocks.
 """
 
 from __future__ import annotations
@@ -51,16 +51,6 @@ class ChunkStats:
         return len(self.tr)
 
 
-@dataclass(frozen=True)
-class ReputationState:
-    honest: bool
-    r1: float
-    r2: float
-    combined: float
-    a: float
-    lam: float
-
-
 def bounded_growth(x: float, a: float, lam: float) -> float:
     """f(x) = (1 + (x-a)/(lam+|x-a|)) / 2 — strictly increasing, in (0, 1)."""
     return 0.5 * (1.0 + (x - a) / (lam + abs(x - a)))
@@ -88,7 +78,7 @@ def compute_r2(stats: ChunkStats, honest: bool, a: float, lam: float) -> float:
 def compute_r1(pinned_by_miner: int, total_pinned: int, honest: bool) -> float:
     """Mining-history reputation: honesty-gated share of pinned keyblocks.
 
-    Stand-in for the full long-lived mining score; swap via R1Strategy.
+    Stand-in for the full long-lived mining score.
     """
     if total_pinned <= 0:
         return 0.0
@@ -103,15 +93,3 @@ def combine_reputation(r1: float, r2: float) -> float:
     if not (0.0 <= r1 <= 1.0 and 0.0 <= r2 <= 1.0):
         raise ValueError("scores must lie in [0, 1]")
     return 0.5 * (r1 + r2)
-
-
-class R1Strategy:
-    """Interface for the mining-history score."""
-
-    def score(self, pinned_by_miner: int, total_pinned: int, honest: bool) -> float:
-        raise NotImplementedError
-
-
-class PinnedShareR1(R1Strategy):
-    def score(self, pinned_by_miner: int, total_pinned: int, honest: bool) -> float:
-        return compute_r1(pinned_by_miner, total_pinned, honest)

@@ -17,17 +17,13 @@ from typing import Deque, Mapping
 
 @dataclass
 class SchedulerState:
-    """Per-institution FIFO queues plus the batching parameters."""
+    """Per-institution FIFO queues plus the batch cap."""
 
     queues: dict[str, Deque] = field(default_factory=dict)
-    interval: int = 1  # simulation steps over which queues fill
     batch_cap: int = 12
 
     def enqueue(self, institution_id: str, item) -> None:
         self.queues.setdefault(institution_id, deque()).append(item)
-
-    def pending(self, institution_id: str) -> int:
-        return len(self.queues.get(institution_id, ()))
 
     def total_pending(self) -> int:
         return sum(len(q) for q in self.queues.values())

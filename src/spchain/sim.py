@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .actors import (
@@ -29,7 +29,7 @@ from .actors import (
     setup_patient,
     upload as make_upload,
 )
-from .adversaries import Adversary, make_adversary
+from .adversaries import make_adversary
 from .blocks import (
     KeyBlock,
     MicroBlock,
@@ -43,7 +43,7 @@ from .consensus import ConsensusGroup, InsufficientQuorum, pin, select_group
 from .group import default_group
 from .metrics import MetricsRecord
 from .mining import ForkChoice, fork_choice, mine_keyblock, target_from_zero_bits
-from .reputation import ChunkStats, PinnedShareR1, combine_reputation, compute_r2
+from .reputation import ChunkStats, combine_reputation, compute_r1, compute_r2
 from .rewards import FeeSchedule, distribute_rewards
 from .scheduler import SchedulerState, schedule_batch
 from .signing import sign
@@ -85,18 +85,17 @@ class Simulation:
             creator_share=config.creator_share,
         )
         self.target = target_from_zero_bits(config.target_zero_bits)
-        self.r1_strategy = PinnedShareR1()
 
-        self.adversary: Optional[Adversary] = make_adversary(config)
+        self.adversary = make_adversary(config)
         self.miners: list[InstitutionActor] = [
             setup_institution(b"miner/%d" % i, self.group_params)
             for i in range(config.miner_count)
         ]
         self.adv_miner: Optional[InstitutionActor] = None
-        if self.adversary is not None and self.adversary.joins_as_miner:
+        if self.adversary.joins_as_miner:
             self.adv_miner = setup_institution(b"miner/adversary", self.group_params)
             self.adversary.miner_id = self.adv_miner.address
-        elif self.adversary is not None:
+        elif self.adversary.kind != "none":
             # fraud and inhibition corrupt an existing institution
             self.adversary.miner_id = self.miners[-1].address
             if self.adversary.kind == "inhibition":
@@ -118,14 +117,11 @@ class Simulation:
         self.home_institution: dict[str, str] = {}
         self.patient_leaves: dict[str, list[bytes]] = {}
         self.pinned_medical: dict[str, list[Transaction]] = {}
-        self.records: dict[str, EmrRecord] = {}  # record_id -> record
         self._spawned = 0
 
         self.register_mempool: list[Transaction] = []
         self.scheduler = SchedulerState(
-            queues={},
-            interval=config.scheduler_interval,
-            batch_cap=min(config.batch_cap, config.microblock_capacity),
+            queues={}, batch_cap=min(config.batch_cap, config.keyblock_capacity)
         )
         self.submit_round: dict[bytes, int] = {}
 
@@ -170,7 +166,7 @@ class Simulation:
     def reputation_of(self, miner_id: str) -> tuple[float, float, float]:
         total_pinned = len(self.chain.pinned_keyblocks)
         honest = self.honest[miner_id]
-        r1 = self.r1_strategy.score(self.pinned_by[miner_id], total_pinned, honest)
+        r1 = compute_r1(self.pinned_by[miner_id], total_pinned, honest)
         chain_length = total_pinned
         n_micro = len(self.chain.microblocks)
         if chain_length == 0 or n_micro == 0 or self.total_medical_txs == 0:
@@ -220,17 +216,16 @@ class Simulation:
                 patient, home, b"identity/%d" % idx, self.group_params, fee=cfg.register_fee
             )
             self.register_mempool.append(tx)
-        if self.adversary is not None:
-            fraud_inst = self.institutions.get(self.adversary.miner_id)
-            for seed, identity in self.adversary.zombie_register_seeds(self.round_number):
-                zombie = setup_patient(seed)
-                self.patients[zombie.address] = zombie
-                self.home_institution[zombie.address] = fraud_inst.address
-                tx = make_register(
-                    zombie, fraud_inst, identity, self.group_params, fee=cfg.register_fee
-                )
-                self.register_mempool.append(tx)
-                self.fraud_fees_paid += cfg.register_fee
+        for seed, identity in self.adversary.zombie_register_seeds(self.round_number):
+            fraud_inst = self.institutions[self.adversary.miner_id]
+            zombie = setup_patient(seed)
+            self.patients[zombie.address] = zombie
+            self.home_institution[zombie.address] = fraud_inst.address
+            tx = make_register(
+                zombie, fraud_inst, identity, self.group_params, fee=cfg.register_fee
+            )
+            self.register_mempool.append(tx)
+            self.fraud_fees_paid += cfg.register_fee
 
     def _generate_traffic(self) -> None:
         cfg = self.config
@@ -250,7 +245,6 @@ class Simulation:
                     patient_id=patient_id,
                     creation_round=self.round_number,
                 )
-                self.records[record.record_id] = record
                 staged.append(
                     make_upload(patient, inst, record, self.chain, fee=cfg.tx_fee)
                 )
@@ -264,7 +258,6 @@ class Simulation:
                     patient_id=patient_id,
                     creation_round=self.round_number,
                 )
-                self.records[corrected.record_id] = corrected
                 staged.append(
                     make_label(
                         patient, inst, target.tx_id, corrected, self.chain, fee=cfg.tx_fee
@@ -320,13 +313,10 @@ class Simulation:
             share = shares[miner_id]
             if share <= 0:
                 continue
-            is_adv = self.adversary is not None and miner_id == self.adversary.miner_id
-            if is_adv and self.adversary.joins_as_miner:
-                view = self.adversary.mining_view(self.chain)
-                if view is None:
-                    continue
-            else:
-                view = self.chain.view()
+            is_adv = miner_id == self.adversary.miner_id
+            view = self.adversary.mining_view(self.chain) if is_adv else self.chain.view()
+            if view is None:
+                continue
             budget = max(1, int(attempts_total * share + 0.5))
             block_registers = registers if view.tip_hash == self.chain.tip_hash else []
             result = mine_keyblock(
@@ -339,7 +329,7 @@ class Simulation:
             )
             if result.block is None:
                 continue
-            if is_adv and self.adversary.joins_as_miner:
+            if is_adv:
                 published = self.adversary.on_solution(self.round_number, result.block)
                 if published is None:
                     continue
@@ -348,8 +338,7 @@ class Simulation:
                     continue
             candidates.append((result.attempts / share, miner_id, result.block))
 
-        if self.adversary is not None:
-            adversary_blocks.extend(self.adversary.due_publications(self.round_number))
+        adversary_blocks.extend(self.adversary.due_publications(self.round_number))
         for block in adversary_blocks:
             verdict = fork_choice(self.chain.view(), block, self.group_params)
             if verdict is ForkChoice.REJECT:
@@ -433,11 +422,7 @@ class Simulation:
                 continue
             votes = []
             for m in group.members:
-                if (
-                    self.adversary is not None
-                    and m.miner_id == self.adversary.miner_id
-                    and not self.adversary.votes_for_tx(tx)
-                ):
+                if m.miner_id == self.adversary.miner_id and not self.adversary.votes_for_tx(tx):
                     continue
                 votes.append(
                     (m.miner_id, sign(tx.tx_id, self.institutions[m.miner_id].keypair))
@@ -458,9 +443,7 @@ class Simulation:
                 # under the same root via a trapdoor collision at the home
                 # institution, so the stored root never changes
                 leaves.append(inst.info_leaf)
-                home = self.institutions[self.home_institution.get(
-                    patient_id, self.chain.microblocks[patient_id].creator_miner_id
-                )]
+                home = self.institutions[self.home_institution[patient_id]]
                 current = self.chain.microblocks[patient_id]
                 new_root = update_institution_root(
                     current.institution_root, leaves, home.ch_keys.hk, home.ch_keys.tk
@@ -484,11 +467,7 @@ class Simulation:
 
             latency = self.round_number - self.submit_round.pop(tx.tx_id, self.round_number)
             self.max_pin_latency = max(self.max_pin_latency, latency)
-            if (
-                self.adversary is not None
-                and self.adversary.kind == "inhibition"
-                and receiver == self.adversary.victim_id
-            ):
+            if receiver == self.adversary.victim_id:
                 self.victim_latencies.append(latency)
         for receiver_id, txs in requeue.items():
             self.scheduler.queues[receiver_id].extendleft(reversed(txs))
@@ -507,10 +486,7 @@ class Simulation:
             reputations[miner_id] = combined
             self.reputation_rows.append((self.round_number, miner_id, r1, r2, combined))
         group = self.current_group(reputations)
-        adv_in_group = int(
-            self.adversary is not None
-            and group.member(self.adversary.miner_id) is not None
-        )
+        adv_in_group = int(group.member(self.adversary.miner_id) is not None)
         if adv_in_group:
             self.adversary_group_rounds.append(self.round_number)
 
@@ -564,7 +540,7 @@ class Simulation:
         return record
 
     def adversary_reward_share(self) -> float:
-        if self.adversary is None or self.adversary.miner_id is None:
+        if self.adversary.miner_id is None:
             return 0.0
         if self.adversary.joins_as_miner:
             pool, earned = self.kb_rewards, self.kb_rewards.get(self.adversary.miner_id, 0.0)

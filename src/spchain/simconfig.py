@@ -68,9 +68,6 @@ class ScenarioConfig:
     adversary_strategy: str = "attack"  # flash only: attack | honest
     zombie_count: int = 0
 
-    # exposed assumption knob; no protocol consequence
-    consensus_power_fraction: float = 0.9
-
     # permutes same-round message delivery; must not affect pinned history
     delivery_shuffle_seed: int = 0
 
@@ -104,6 +101,12 @@ class ScenarioConfig:
             raise ConfigError("adversary_strategy must be 'attack' or 'honest'")
         if self.chunk_size < 1 or self.batch_cap < 1:
             raise ConfigError("chunk_size and batch_cap must be positive")
+        if self.scheduler_interval < 1:
+            raise ConfigError("scheduler_interval must be positive")
+        if self.emr_size_bytes < 0:
+            raise ConfigError("emr_size_bytes must be non-negative")
+        if not 0.0 <= self.creator_share <= 1.0:
+            raise ConfigError("creator_share must be in [0, 1]")
         if self.rep_lambda <= 0:
             raise ConfigError("rep_lambda must be positive")
         if self.block_size_mb <= 0 or self.txs_per_mb < 1:
@@ -121,10 +124,7 @@ class ScenarioConfig:
 
     @property
     def keyblock_capacity(self) -> int:
-        return max(1, int(self.block_size_mb * self.txs_per_mb))
-
-    @property
-    def microblock_capacity(self) -> int:
+        """Transactions per block; block_size_mb bounds microblock batches too."""
         return max(1, int(self.block_size_mb * self.txs_per_mb))
 
 

@@ -9,7 +9,6 @@ from spchain.actors import (
     label,
     register,
     retrieve_history,
-    setup,
     setup_institution,
     setup_patient,
     share,
@@ -63,18 +62,14 @@ def pin_upload(chain, patient, tx):
 
 
 def test_setup_roles_and_determinism(group):
-    p1 = setup(b"seed", "patient")
-    p2 = setup(b"seed", "patient")
+    p1 = setup_patient(b"seed")
+    p2 = setup_patient(b"seed")
     assert p1.address == p2.address
-    i1 = setup(b"seed", "institution", group)
-    i2 = setup(b"seed", "institution", group)
+    i1 = setup_institution(b"seed", group)
+    i2 = setup_institution(b"seed", group)
     assert i1.address == i2.address
     assert i1.ch_keys == i2.ch_keys
     assert p1.address != i1.address  # role-separated derivation
-    with pytest.raises(ValueError, match="unknown role"):
-        setup(b"seed", "auditor")
-    with pytest.raises(ValueError, match="bilinear group"):
-        setup(b"seed", "institution")
 
 
 def test_off_chain_store_is_content_addressed():

@@ -54,9 +54,16 @@ def test_seed_override_changes_output(config_file, tmp_path):
 
 def test_bad_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("no_such_option = 1\n")
-    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    for text in (
+        "no_such_option = 1\n",
+        "scheduler_interval = 0\n",
+        "emr_size_bytes = -1\n",
+        "creator_share = 1.5\n",
+        "consensus_power_fraction = 0.9\n",
+    ):
+        bad.write_text(text)
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_2(tmp_path):

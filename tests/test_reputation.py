@@ -5,7 +5,6 @@ import pytest
 
 from spchain.reputation import (
     ChunkStats,
-    PinnedShareR1,
     bounded_growth,
     combine_reputation,
     compute_r1,
@@ -120,7 +119,7 @@ def test_r1_is_honesty_gated_pinned_share():
 
 
 def test_strategy_interface():
-    assert PinnedShareR1().score(1, 4, True) == pytest.approx(0.25)
+    assert compute_r1(1, 4, True) == pytest.approx(0.25)
 
 
 def test_combine_is_mean_and_validates():

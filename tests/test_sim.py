@@ -59,6 +59,12 @@ def test_validate_catches_inconsistencies():
         ScenarioConfig(adversary_type="ddos").validate()
     with pytest.raises(ConfigError, match="upload_rate"):
         ScenarioConfig(upload_rate=1.5).validate()
+    with pytest.raises(ConfigError, match="scheduler_interval"):
+        ScenarioConfig(scheduler_interval=0).validate()
+    with pytest.raises(ConfigError, match="emr_size_bytes"):
+        ScenarioConfig(emr_size_bytes=-1).validate()
+    with pytest.raises(ConfigError, match="creator_share"):
+        ScenarioConfig(creator_share=1.5).validate()
 
 
 # -- determinism and safety --------------------------------------------------------
