@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .blocks import KeyBlock
+from .blocks import GENESIS_KEYBLOCK_HASH, KeyBlock
 from .chain import ChainState, ChainView
 from .simconfig import ScenarioConfig
 from .tx import Transaction
@@ -107,7 +107,7 @@ class FlashMiner(Adversary):
         if pinned:
             tip_height, tip_hash = pinned[-1]
         else:
-            tip_height, tip_hash = 0, view.genesis_keyblock_hash
+            tip_height, tip_hash = 0, GENESIS_KEYBLOCK_HASH
         return ChainView(
             pinned=pinned,
             tip_height=tip_height,

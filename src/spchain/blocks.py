@@ -21,7 +21,6 @@ from .chameleon import (
     ChameleonTrapdoor,
     ch_collide,
     ch_hash,
-    ch_verify,
     decode_digest,
     encode_digest,
     message_scalar,

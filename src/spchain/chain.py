@@ -70,7 +70,6 @@ class ChainView:
     tip_height: int
     tip_hash: bytes
     penu_microblock_hash: bytes
-    genesis_keyblock_hash: bytes = GENESIS_KEYBLOCK_HASH
 
     def pinned_hash_at(self, height: int) -> Optional[bytes]:
         for h, digest in self.pinned:

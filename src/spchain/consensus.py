@@ -82,7 +82,6 @@ def pin(
     subject_hash: bytes,
     votes: Sequence[tuple[str, bytes]],
     group: ConsensusGroup,
-    verify_signatures: bool = True,
 ) -> Union[PinCertificate, InsufficientQuorum]:
     """Aggregate votes into a certificate or report the shortfall.
 
@@ -98,12 +97,11 @@ def pin(
             continue
         if signer_id in accepted:
             continue
-        if verify_signatures:
-            if member.public_key is None or not verify_sig(
-                subject_hash, signature, member.public_key
-            ):
-                ignored.append(signer_id)
-                continue
+        if member.public_key is None or not verify_sig(
+            subject_hash, signature, member.public_key
+        ):
+            ignored.append(signer_id)
+            continue
         accepted[signer_id] = PinSignature(
             signer_id=signer_id, weight=member.weight, signature=signature
         )

@@ -14,6 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# keyblocks per chunk, and the offset a and scale lam of f(x)
+CHUNK_SIZE = 10
+REP_A = 5000.0
+REP_LAMBDA = 20000.0
+
 
 @dataclass(frozen=True)
 class ChunkStats:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .blocks import KeyBlock, MicroBlock, PinCertificate, certificate_meets_quorum
-from .consensus import ConsensusGroup
 from .signing import address_of
 from .tx import Transaction
 
@@ -29,16 +28,14 @@ class FeeSchedule:
 
 def distribute_rewards(
     block: Union[KeyBlock, MicroBlock],
-    group: ConsensusGroup,
     fees: FeeSchedule,
     pin_cert: Optional[PinCertificate] = None,
-    batch_txs: Optional[Sequence[Transaction]] = None,
+    batch_txs: Sequence[Transaction] = (),
 ) -> dict[str, float]:
     """Reward map minerId -> amount for one pinned block.
 
     For a microblock, ``pin_cert`` is the certificate that pinned the
-    appended batch and ``batch_txs`` the transactions it covered
-    (defaults to the whole microblock).
+    appended batch and ``batch_txs`` the transactions it covered.
     """
     if isinstance(block, KeyBlock):
         cert = block.pin_cert
@@ -51,8 +48,7 @@ def distribute_rewards(
     cert = pin_cert
     if cert is None or not certificate_meets_quorum(cert):
         raise ValueError("block is not pinned")
-    txs = block.txs if batch_txs is None else batch_txs
-    total = fees.micro_reward + sum(tx.fee for tx in txs)
+    total = fees.micro_reward + sum(tx.fee for tx in batch_txs)
     signer_pool = total * (1.0 - fees.creator_share)
     signer_weight = sum(s.weight for s in cert.signers)
     rewards: dict[str, float] = {}

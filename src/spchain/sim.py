@@ -43,7 +43,15 @@ from .consensus import ConsensusGroup, InsufficientQuorum, pin, select_group
 from .group import default_group
 from .metrics import MetricsRecord
 from .mining import ForkChoice, fork_choice, mine_keyblock, target_from_zero_bits
-from .reputation import ChunkStats, combine_reputation, compute_r1, compute_r2
+from .reputation import (
+    CHUNK_SIZE,
+    REP_A,
+    REP_LAMBDA,
+    ChunkStats,
+    combine_reputation,
+    compute_r1,
+    compute_r2,
+)
 from .rewards import FeeSchedule, distribute_rewards
 from .scheduler import SchedulerState, schedule_batch
 from .signing import sign
@@ -59,6 +67,11 @@ class InvariantViolation(Exception):
 # meaningful before any reputation has accrued (all-zero weights could
 # never be exceeded)
 WEIGHT_FLOOR = 0.01
+
+# simulated group agreement time for a batch: a fixed round cost plus one
+# verification per pinned transaction, per member
+BFT_BASE_S = 0.05
+PER_TX_VERIFY_S = 0.01
 
 
 @dataclass
@@ -77,13 +90,7 @@ class Simulation:
         self.rng = random.Random(config.seed)
         self.group_params = default_group()
         self.chain = ChainState(self.group_params)
-        self.fees = FeeSchedule(
-            mining_reward=config.mining_reward,
-            micro_reward=config.micro_reward,
-            register_fee=config.register_fee,
-            tx_fee=config.tx_fee,
-            creator_share=config.creator_share,
-        )
+        self.fees = FeeSchedule()
         self.target = target_from_zero_bits(config.target_zero_bits)
 
         self.adversary = make_adversary(config)
@@ -116,7 +123,6 @@ class Simulation:
         self.patients: dict[str, PatientActor] = {}
         self.home_institution: dict[str, str] = {}
         self.patient_leaves: dict[str, list[bytes]] = {}
-        self.pinned_medical: dict[str, list[Transaction]] = {}
         self._spawned = 0
 
         self.register_mempool: list[Transaction] = []
@@ -172,19 +178,18 @@ class Simulation:
         if chain_length == 0 or n_micro == 0 or self.total_medical_txs == 0:
             r2 = 0.0
         else:
-            c = self.config.chunk_size
-            chunk_count = -(-chain_length // c)
+            chunk_count = -(-chain_length // CHUNK_SIZE)
             tr = tuple(self.tr_counts[miner_id].get(i, 0) for i in range(chunk_count))
             tml = tuple(self.tml_counts[miner_id].get(i, 0) for i in range(chunk_count))
             stats = ChunkStats(
                 tr=tr,
                 tml=tml,
-                chunk_size=c,
+                chunk_size=CHUNK_SIZE,
                 chain_length=chain_length,
                 microblock_count=n_micro,
                 tx_count=self.total_medical_txs,
             )
-            r2 = compute_r2(stats, honest, self.config.rep_a, self.config.rep_lambda)
+            r2 = compute_r2(stats, honest, REP_A, REP_LAMBDA)
         return r1, r2, combine_reputation(r1, r2)
 
     def current_group(self, reputations: dict[str, float]) -> ConsensusGroup:
@@ -213,7 +218,7 @@ class Simulation:
             self.patients[patient.address] = patient
             self.home_institution[patient.address] = home.address
             tx = make_register(
-                patient, home, b"identity/%d" % idx, self.group_params, fee=cfg.register_fee
+                patient, home, b"identity/%d" % idx, self.group_params, fee=self.fees.register_fee
             )
             self.register_mempool.append(tx)
         for seed, identity in self.adversary.zombie_register_seeds(self.round_number):
@@ -222,10 +227,10 @@ class Simulation:
             self.patients[zombie.address] = zombie
             self.home_institution[zombie.address] = fraud_inst.address
             tx = make_register(
-                zombie, fraud_inst, identity, self.group_params, fee=cfg.register_fee
+                zombie, fraud_inst, identity, self.group_params, fee=self.fees.register_fee
             )
             self.register_mempool.append(tx)
-            self.fraud_fees_paid += cfg.register_fee
+            self.fraud_fees_paid += self.fees.register_fee
 
     def _generate_traffic(self) -> None:
         cfg = self.config
@@ -234,8 +239,11 @@ class Simulation:
             patient = self.patients[patient_id]
             if not patient.registered:
                 continue
+            # labels target pinned medical records, so any pinned
+            # transaction means the patient has a medical record
+            txs = self.chain.microblocks[patient_id].txs
             if self.rng.random() < cfg.upload_rate:
-                if self.pinned_medical.get(patient_id):
+                if txs:
                     inst = self.miners[self.rng.randrange(len(self.miners))]
                 else:
                     inst = self.institutions[self.home_institution[patient_id]]
@@ -246,11 +254,10 @@ class Simulation:
                     creation_round=self.round_number,
                 )
                 staged.append(
-                    make_upload(patient, inst, record, self.chain, fee=cfg.tx_fee)
+                    make_upload(patient, inst, record, self.chain, fee=self.fees.tx_fee)
                 )
-            medical = self.pinned_medical.get(patient_id)
-            if medical and self.rng.random() < cfg.label_rate:
-                target = medical[-1]
+            if txs and self.rng.random() < cfg.label_rate:
+                target = next(tx for tx in reversed(txs) if tx.tx_type is TxType.MEDICAL)
                 inst = self.institutions[target.payload.receiver_id]
                 corrected = EmrRecord(
                     plaintext=self.rng.randbytes(cfg.emr_size_bytes),
@@ -260,7 +267,7 @@ class Simulation:
                 )
                 staged.append(
                     make_label(
-                        patient, inst, target.tx_id, corrected, self.chain, fee=cfg.tx_fee
+                        patient, inst, target.tx_id, corrected, self.chain, fee=self.fees.tx_fee
                     )
                 )
         # arrival order is arbitrary in a real network; members canonically
@@ -306,7 +313,8 @@ class Simulation:
 
     def _mine_round(self, registers: list[Transaction]):
         shares = self.power_shares()
-        attempts_total = self.config.effective_attempts_per_round
+        # eight times the expected attempts per solution, split by power
+        attempts_total = 8 << self.config.target_zero_bits
         candidates = []  # (virtual_time, miner_id, block)
         adversary_blocks = []  # published out-of-band this round
         for miner_id in self.active_miner_ids():
@@ -346,9 +354,7 @@ class Simulation:
                 self._mark_dishonest(self.adversary.miner_id)
             elif verdict is ForkChoice.ACCEPT:
                 # a late release that still extends the tip competes normally
-                shares_now = self.power_shares()
-                adv_share = shares_now.get(self.adversary.miner_id, 0.0)
-                if adv_share > 0:
+                if shares.get(self.adversary.miner_id, 0.0) > 0:
                     candidates.append((float("inf"), self.adversary.miner_id, block))
 
         candidates.sort(key=lambda entry: (entry[0], entry[1]))
@@ -374,12 +380,12 @@ class Simulation:
         pinned = dataclasses.replace(block, pin_cert=outcome)
         self.chain.add_pinned_keyblock(pinned)
         self.pinned_by[miner_id] += 1
-        for miner, amount in distribute_rewards(pinned, group, self.fees).items():
+        for miner, amount in distribute_rewards(pinned, self.fees).items():
             self.kb_rewards[miner] = self.kb_rewards.get(miner, 0.0) + amount
             self.total_rewards[miner] = self.total_rewards.get(miner, 0.0) + amount
 
         creator = max(group.members, key=lambda m: (m.weight, m.miner_id)).miner_id
-        chunk = (pinned.height - 1) // self.config.chunk_size
+        chunk = (pinned.height - 1) // CHUNK_SIZE
         for tx in pinned.register_txs:
             info = self.chain.register_patient(tx)
             receiver = tx.payload.receiver_id
@@ -412,7 +418,7 @@ class Simulation:
 
     def _pin_tx_batch(self, group: ConsensusGroup, batch: list[Transaction]) -> int:
         pinned_count = 0
-        chunk = (self.chain.tip_height - 1) // self.config.chunk_size
+        chunk = (self.chain.tip_height - 1) // CHUNK_SIZE
         requeue: dict[str, list[Transaction]] = {}
         for tx in batch:
             ok, reason = self.chain.validate_tx(tx)
@@ -456,12 +462,10 @@ class Simulation:
             self.total_medical_txs += 1
             counts = self.tml_counts.setdefault(receiver, {})
             counts[chunk] = counts.get(chunk, 0) + 1
-            if tx.tx_type is TxType.MEDICAL:
-                self.pinned_medical.setdefault(patient_id, []).append(tx)
 
             microblock = self.chain.microblocks[patient_id]
             for miner, amount in distribute_rewards(
-                microblock, group, self.fees, pin_cert=outcome, batch_txs=[tx]
+                microblock, self.fees, pin_cert=outcome, batch_txs=[tx]
             ).items():
                 self.total_rewards[miner] = self.total_rewards.get(miner, 0.0) + amount
 
@@ -506,13 +510,13 @@ class Simulation:
             self.register_mempool.extend(registers)
 
         micro_pinned = 0
-        if self.round_number % cfg.scheduler_interval == 0 and self.chain.tip_height >= 1:
+        if self.chain.tip_height >= 1:
             batch = schedule_batch(self.scheduler, reputations)
             micro_pinned = self._pin_tx_batch(group, batch)
 
         kb_tps = registers_pinned / cfg.kb_interval_s
         if micro_pinned > 0:
-            bft_time = group.size * (cfg.bft_base_s + micro_pinned * cfg.per_tx_verify_s)
+            bft_time = group.size * (BFT_BASE_S + micro_pinned * PER_TX_VERIFY_S)
             micro_tps = micro_pinned / bft_time
         else:
             micro_tps = 0.0

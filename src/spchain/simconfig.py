@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 ADVERSARY_TYPES = ("none", "selfish", "flash", "fraud", "inhibition")
 
+# transactions that fit in one megabyte of block
+TXS_PER_MB = 16
+
 
 class ConfigError(ValueError):
     """Invalid scenario configuration."""
@@ -27,16 +30,11 @@ class ScenarioConfig:
     miner_count: int = 4
     power_shares: tuple[float, ...] = ()  # empty -> equal shares
     target_zero_bits: int = 6
-    attempts_per_round: int = 0  # 0 -> 8 * 2**target_zero_bits
 
     # consensus
     group_size: int = 3
-    chunk_size: int = 10
-    rep_a: float = 5000.0
-    rep_lambda: float = 20000.0
 
     # scheduler
-    scheduler_interval: int = 1  # rounds per collection interval
     batch_cap: int = 64  # max transactions the group processes at a time
 
     # traffic
@@ -48,17 +46,7 @@ class ScenarioConfig:
 
     # block capacity and timing model (simulated seconds)
     block_size_mb: float = 1.0
-    txs_per_mb: int = 16
     kb_interval_s: float = 10.0
-    bft_base_s: float = 0.05
-    per_tx_verify_s: float = 0.01
-
-    # fees and rewards
-    register_fee: int = 2
-    tx_fee: int = 1
-    mining_reward: float = 50.0
-    micro_reward: float = 10.0
-    creator_share: float = 0.5
 
     # adversary
     adversary_type: str = "none"
@@ -99,33 +87,21 @@ class ScenarioConfig:
             raise ConfigError("adversary_power must be in [0, 0.99]")
         if self.adversary_strategy not in ("attack", "honest"):
             raise ConfigError("adversary_strategy must be 'attack' or 'honest'")
-        if self.chunk_size < 1 or self.batch_cap < 1:
-            raise ConfigError("chunk_size and batch_cap must be positive")
-        if self.scheduler_interval < 1:
-            raise ConfigError("scheduler_interval must be positive")
+        if self.batch_cap < 1:
+            raise ConfigError("batch_cap must be positive")
         if self.emr_size_bytes < 0:
             raise ConfigError("emr_size_bytes must be non-negative")
-        if not 0.0 <= self.creator_share <= 1.0:
-            raise ConfigError("creator_share must be in [0, 1]")
-        if self.rep_lambda <= 0:
-            raise ConfigError("rep_lambda must be positive")
-        if self.block_size_mb <= 0 or self.txs_per_mb < 1:
-            raise ConfigError("block capacity must be positive")
-        if min(self.kb_interval_s, self.bft_base_s, self.per_tx_verify_s) <= 0:
-            raise ConfigError("timing constants must be positive")
+        if self.block_size_mb <= 0:
+            raise ConfigError("block_size_mb must be positive")
+        if self.kb_interval_s <= 0:
+            raise ConfigError("kb_interval_s must be positive")
         if self.zombie_count < 0:
             raise ConfigError("zombie_count must be non-negative")
 
     @property
-    def effective_attempts_per_round(self) -> int:
-        if self.attempts_per_round > 0:
-            return self.attempts_per_round
-        return 8 * (1 << self.target_zero_bits)
-
-    @property
     def keyblock_capacity(self) -> int:
         """Transactions per block; block_size_mb bounds microblock batches too."""
-        return max(1, int(self.block_size_mb * self.txs_per_mb))
+        return max(1, int(self.block_size_mb * TXS_PER_MB))
 
 
 _FIELD_TYPES = {f.name: f for f in dataclasses.fields(ScenarioConfig)}

@@ -39,7 +39,7 @@ from spchain.chameleon import (
     ch_keygen,
     ch_verify,
 )
-from spchain.consensus import ConsensusGroup, GroupMember, pin
+from spchain.consensus import pin
 from spchain.group import BilinearGroup
 from spchain.metrics import metrics_csv_text, reputation_csv_text, summary_text
 from spchain.mining import mine_keyblock, target_from_zero_bits
@@ -49,6 +49,7 @@ from spchain.sim import run_scenario
 from spchain.simconfig import ScenarioConfig
 
 from tests.conftest import pin_subject
+from tests.test_consensus import signed_group
 from tests.test_reputation import A, LAM, oracle_r2
 
 
@@ -130,15 +131,12 @@ def test_criterion_3_pinning_safety_exhaustive():
         ]
         for weights in weight_sets:
             total = sum(weights)
-            members = tuple(GroupMember(f"m{i}", weights[i], None) for i in range(x))
-            group = ConsensusGroup(members=members, epoch=0)
+            subject = b"\x2a" * 32
+            group, signed = signed_group(weights, subject)
 
             def reaches_quorum(subset):
-                votes = [(f"m{i}", b"") for i in subset]
-                return isinstance(
-                    pin(b"\x2a" * 32, votes, group, verify_signatures=False),
-                    PinCertificate,
-                )
+                votes = [(f"m{i}", signed[f"m{i}"]) for i in subset]
+                return isinstance(pin(subject, votes, group), PinCertificate)
 
             all_subsets = [
                 frozenset(s)

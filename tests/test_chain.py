@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import random
 
 import pytest
@@ -7,7 +6,6 @@ import pytest
 from spchain import chain as chain_mod
 from spchain.actors import EmrRecord, register, setup_institution, setup_patient, upload
 from spchain.blocks import (
-    GENESIS_KEYBLOCK_HASH,
     GENESIS_MICROBLOCK_HASH,
     KeyBlock,
     MicroBlock,
@@ -18,7 +16,7 @@ from spchain.blocks import (
 )
 from spchain.chain import ChainState
 from spchain.signing import keypair_from_seed, sign
-from spchain.tx import MedicalPayload, TxType, build_tx
+from spchain.tx import TxType, build_tx
 
 
 def quorum_cert(subject: bytes) -> PinCertificate:

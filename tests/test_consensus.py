@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from spchain.blocks import PinCertificate, certificate_meets_quorum, required_vote_count
+from spchain.blocks import PinCertificate, certificate_meets_quorum
 from spchain.consensus import (
     ConsensusGroup,
     GroupMember,
@@ -92,18 +92,25 @@ def test_pin_ignores_outsiders_duplicates_and_bad_signatures():
     assert set(outcome.ignored) == {"m1", "intruder"}
 
 
-def test_pin_weighted_example():
-    members = (
-        GroupMember("m0", 5.0, None),
-        GroupMember("m1", 1.0, None),
-        GroupMember("m2", 0.5, None),
+def signed_group(weights, subject):
+    """A group with one real keypair per member, and each member's vote."""
+    keypairs = [keypair_from_seed(b"cons/%d" % i) for i in range(len(weights))]
+    members = tuple(
+        GroupMember(f"m{i}", w, kp.public_key)
+        for i, (w, kp) in enumerate(zip(weights, keypairs))
     )
-    group = ConsensusGroup(members=members, epoch=0)
+    votes = {f"m{i}": sign(subject, kp) for i, kp in enumerate(keypairs)}
+    return ConsensusGroup(members=members, epoch=0), votes
+
+
+def test_pin_weighted_example():
+    subject = b"\x14" * 32
+    group, votes = signed_group((5.0, 1.0, 0.5), subject)
     # m0+m1: count 2 >= 2 and weight 6.0 > 2/3 * 6.5
-    cert = pin(b"\x14" * 32, [("m0", b""), ("m1", b"")], group, verify_signatures=False)
+    cert = pin(subject, [(m, votes[m]) for m in ("m0", "m1")], group)
     assert isinstance(cert, PinCertificate)
     # m1+m2: count ok but weight 1.5 is far below the bar
-    outcome = pin(b"\x14" * 32, [("m1", b""), ("m2", b"")], group, verify_signatures=False)
+    outcome = pin(subject, [(m, votes[m]) for m in ("m1", "m2")], group)
     assert isinstance(outcome, InsufficientQuorum)
 
 
@@ -120,18 +127,13 @@ def test_exhaustive_safety_small_groups():
         ]
         for weights in weight_sets:
             total = sum(weights)
-            members = tuple(
-                GroupMember(f"m{i}", weights[i], None) for i in range(x)
-            )
-            group = ConsensusGroup(members=members, epoch=0)
+            subject = b"\x15" * 32
+            group, signed = signed_group(weights, subject)
             ids = list(range(x))
 
             def reaches_quorum(subset):
-                votes = [(f"m{i}", b"") for i in subset]
-                return isinstance(
-                    pin(b"\x15" * 32, votes, group, verify_signatures=False),
-                    PinCertificate,
-                )
+                votes = [(f"m{i}", signed[f"m{i}"]) for i in subset]
+                return isinstance(pin(subject, votes, group), PinCertificate)
 
             quorums = [
                 frozenset(s)

@@ -1,0 +1,59 @@
+"""Every imported name is used in the file that imports it."""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "spchain").glob("*.py")) + sorted(
+    (ROOT / "tests").glob("*.py")
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}  # bound name -> line
+    exported: set[str] = set()
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__":
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    return [
+        f"line {line}: {name}"
+        for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+        if name not in used and name not in exported
+    ]
+
+
+def test_scan_flags_unused_and_spares_used_and_exported():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, os.path as osp\n"
+        "from json import dumps, loads as ld\n"
+        "from .x import public\n"
+        "__all__ = ['public']\n"
+        "print(os.sep, ld)\n"
+    )
+    assert unused_imports(source) == ["line 2: osp", "line 3: dumps"]
+
+
+def test_no_unused_imports():
+    assert SOURCES
+    found = {
+        str(path.relative_to(ROOT)): unused
+        for path in SOURCES
+        if (unused := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}

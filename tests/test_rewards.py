@@ -3,16 +3,10 @@ import random
 import pytest
 
 from spchain.blocks import PinCertificate, PinSignature
-from spchain.consensus import ConsensusGroup, GroupMember
 from spchain.rewards import FeeSchedule, distribute_rewards
 from spchain.signing import address_of, keypair_from_seed
 
 from tests.test_tx_blocks import make_keyblock, make_keys, make_medical_tx, make_microblock
-
-
-def trio_group(weights=(1.0, 1.0, 1.0)):
-    members = tuple(GroupMember(f"m{i}", w, None) for i, w in enumerate(weights))
-    return ConsensusGroup(members=members, epoch=0)
 
 
 def cert_for(subject, weights=(1.0, 1.0, 1.0)):
@@ -27,7 +21,7 @@ def cert_for(subject, weights=(1.0, 1.0, 1.0)):
 def test_keyblock_reward_goes_to_creator(group):
     block = make_keyblock(group, with_cert=True)
     fees = FeeSchedule(mining_reward=50.0)
-    rewards = distribute_rewards(block, trio_group(), fees)
+    rewards = distribute_rewards(block, fees)
     creator = address_of(keypair_from_seed(b"miner").public_key)
     # mining reward plus the packed register fees (one tx, fee 2)
     assert rewards == {creator: 52.0}
@@ -36,7 +30,7 @@ def test_keyblock_reward_goes_to_creator(group):
 def test_unpinned_block_pays_nothing(group):
     block = make_keyblock(group, with_cert=False)
     with pytest.raises(ValueError, match="not pinned"):
-        distribute_rewards(block, trio_group(), FeeSchedule())
+        distribute_rewards(block, FeeSchedule())
 
 
 def test_microblock_split_hand_oracle(group):
@@ -48,7 +42,7 @@ def test_microblock_split_hand_oracle(group):
     block = make_microblock(group, keys, txs=[tx])
     fees = FeeSchedule(micro_reward=10.0, creator_share=0.5)
     cert = cert_for(tx.tx_id, weights=(2.0, 1.0, 1.0))
-    rewards = distribute_rewards(block, trio_group((2.0, 1.0, 1.0)), fees, pin_cert=cert)
+    rewards = distribute_rewards(block, fees, pin_cert=cert, batch_txs=[tx])
     assert rewards["m0"] == pytest.approx(8.25)
     assert rewards["m1"] == pytest.approx(1.375)
     assert rewards["m2"] == pytest.approx(1.375)
@@ -59,7 +53,7 @@ def test_microblock_requires_quorum_cert(group):
     tx = make_medical_tx(group, keys)
     block = make_microblock(group, keys, txs=[tx])
     with pytest.raises(ValueError, match="not pinned"):
-        distribute_rewards(block, trio_group(), FeeSchedule())
+        distribute_rewards(block, FeeSchedule())
     weak = PinCertificate(
         subject_hash=tx.tx_id,
         signers=(PinSignature("m0", 1.0, b"s"),),
@@ -67,7 +61,7 @@ def test_microblock_requires_quorum_cert(group):
         group_total_weight=3.0,
     )
     with pytest.raises(ValueError, match="not pinned"):
-        distribute_rewards(block, trio_group(), FeeSchedule(), pin_cert=weak)
+        distribute_rewards(block, FeeSchedule(), pin_cert=weak)
 
 
 def test_batch_subset_total_uses_batch_fees(group):
@@ -75,9 +69,7 @@ def test_batch_subset_total_uses_batch_fees(group):
     tx = make_medical_tx(group, keys, fee=5)
     block = make_microblock(group, keys, txs=[tx])
     fees = FeeSchedule(micro_reward=10.0, creator_share=0.5)
-    rewards = distribute_rewards(
-        block, trio_group(), fees, pin_cert=cert_for(tx.tx_id), batch_txs=[tx]
-    )
+    rewards = distribute_rewards(block, fees, pin_cert=cert_for(tx.tx_id), batch_txs=[tx])
     assert sum(rewards.values()) == pytest.approx(15.0)
 
 
@@ -92,7 +84,7 @@ def test_conservation_randomized(group):
         micro = rng.random() * 100
         fees = FeeSchedule(micro_reward=micro, creator_share=share)
         rewards = distribute_rewards(
-            block, trio_group(weights), fees, pin_cert=cert_for(tx.tx_id, weights)
+            block, fees, pin_cert=cert_for(tx.tx_id, weights), batch_txs=[tx]
         )
         assert sum(rewards.values()) == pytest.approx(micro + tx.fee, abs=1e-9)
         assert all(v >= 0 for v in rewards.values())

@@ -20,7 +20,6 @@ from spchain.blocks import (
     institution_root,
     keyblock_hash,
     merkle_root,
-    microblock_hash,
     required_vote_count,
     update_institution_root,
 )
@@ -30,7 +29,6 @@ from spchain.tx import (
     LabelPayload,
     MedicalPayload,
     RegisterPayload,
-    Transaction,
     TxType,
     build_tx,
     decode_tx,
