@@ -56,11 +56,55 @@ class PinCertificate:
     group_total_weight: float
 
 
+@dataclass(frozen=True)
+class BatchVote:
+    """A member's one signature over a scheduled batch: the Merkle root of
+    its transaction ids and the member's accept bitmap."""
+
+    signer_id: str
+    weight: float
+    bitmap: bytes
+    signature: bytes
+
+
+@dataclass(frozen=True)
+class TxCertificate:
+    """A transaction's share of its batch's votes: the batch root, the
+    transaction's index and inclusion path, and the members whose verified
+    bitmap accepts it."""
+
+    batch_root: bytes
+    index: int
+    path: tuple[bytes, ...]
+    signers: tuple[BatchVote, ...]
+    group_size: int
+    group_total_weight: float
+
+
+def batch_vote_message(epoch: int, batch_root: bytes, bitmap: bytes) -> bytes:
+    """The bytes a member signs to vote on a whole batch."""
+    return b"spchain/batch-vote/" + wire.u64(epoch) + batch_root + bitmap
+
+
+def accept_bitmap(accepts: Sequence[bool]) -> bytes:
+    """Bit ``i % 8`` of byte ``i // 8`` is set when the batch's i-th
+    transaction is accepted."""
+    out = bytearray((len(accepts) + 7) // 8)
+    for i, accepted in enumerate(accepts):
+        if accepted:
+            out[i >> 3] |= 1 << (i & 7)
+    return bytes(out)
+
+
+def bitmap_accepts(bitmap: bytes, index: int) -> bool:
+    return 0 <= index < 8 * len(bitmap) and bool(bitmap[index >> 3] >> (index & 7) & 1)
+
+
 def required_vote_count(group_size: int) -> int:
     return math.ceil(2 * group_size / 3)
 
 
-def certificate_meets_quorum(cert: PinCertificate) -> bool:
+def certificate_meets_quorum(cert: "PinCertificate | TxCertificate") -> bool:
     if cert.group_size < 1:
         return False
     count_ok = len(cert.signers) >= required_vote_count(cert.group_size)
@@ -242,12 +286,11 @@ def microblock_hash(block: MicroBlock, group: BilinearGroup) -> bytes:
 # -- institution hash root (chameleon Merkle) ------------------------------
 
 
-def merkle_root(leaves: Sequence[bytes]) -> bytes:
-    """Binary Merkle over content-hashed leaves; odd level widths
-    duplicate the last digest."""
+def _merkle_levels(leaves: Sequence[bytes]) -> list[list[bytes]]:
     if not leaves:
         raise ValueError("merkle tree needs at least one leaf")
     level = [hashlib.sha256(leaf).digest() for leaf in leaves]
+    levels = [level]
     while len(level) > 1:
         if len(level) % 2 == 1:
             level.append(level[-1])
@@ -255,7 +298,39 @@ def merkle_root(leaves: Sequence[bytes]) -> bytes:
             hashlib.sha256(level[i] + level[i + 1]).digest()
             for i in range(0, len(level), 2)
         ]
-    return level[0]
+        levels.append(level)
+    return levels
+
+
+def merkle_root(leaves: Sequence[bytes]) -> bytes:
+    """Binary Merkle over content-hashed leaves; odd level widths
+    duplicate the last digest."""
+    return _merkle_levels(leaves)[-1][0]
+
+
+def merkle_paths(leaves: Sequence[bytes]) -> tuple[bytes, list[tuple[bytes, ...]]]:
+    """The root and, per leaf, its inclusion path: the sibling digest at
+    each level, leaf level first."""
+    levels = _merkle_levels(leaves)
+    paths = [
+        tuple(level[(index >> depth) ^ 1] for depth, level in enumerate(levels[:-1]))
+        for index in range(len(leaves))
+    ]
+    return levels[-1][0], paths
+
+
+def merkle_path_verifies(
+    leaf: bytes, index: int, path: Sequence[bytes], root: bytes
+) -> bool:
+    """True when ``path`` leads from ``leaf`` at ``index`` to ``root``."""
+    if not 0 <= index < 1 << len(path):
+        return False
+    node = hashlib.sha256(leaf).digest()
+    for sibling in path:
+        pair = node + sibling if index % 2 == 0 else sibling + node
+        node = hashlib.sha256(pair).digest()
+        index >>= 1
+    return node == root
 
 
 def institution_root(
@@ -292,14 +367,20 @@ def update_institution_root(
 
 
 def append_pinned_tx(
-    microblock: MicroBlock, tx: Transaction, pin_cert: Optional[PinCertificate]
+    microblock: MicroBlock, tx: Transaction, cert: Optional[TxCertificate]
 ) -> MicroBlock:
-    """Append a pinned transaction at the tail; prior entries are untouched."""
-    if pin_cert is None:
+    """Append a pinned transaction at the tail; prior entries are untouched.
+
+    ``cert`` must place ``tx`` in its batch, and every member it counts
+    must have accepted that index. Vote signatures are verified where the
+    certificate is built (``consensus.pin_batch``)."""
+    if cert is None:
         raise ValueError("unpinned transaction")
-    if pin_cert.subject_hash != tx.tx_id:
-        raise ValueError("unpinned transaction: certificate covers a different subject")
-    if not certificate_meets_quorum(pin_cert):
+    if not merkle_path_verifies(tx.tx_id, cert.index, cert.path, cert.batch_root):
+        raise ValueError("unpinned transaction: inclusion path does not reach the batch root")
+    if not all(bitmap_accepts(s.bitmap, cert.index) for s in cert.signers):
+        raise ValueError("unpinned transaction: a counted signer did not accept it")
+    if not certificate_meets_quorum(cert):
         raise ValueError("unpinned transaction: certificate below quorum")
     if tx.tx_type not in (TxType.MEDICAL, TxType.LABEL):
         raise ValueError("microblocks hold medical and label transactions only")

@@ -16,7 +16,7 @@ from .blocks import (
     GENESIS_MICROBLOCK_HASH,
     KeyBlock,
     MicroBlock,
-    PinCertificate,
+    TxCertificate,
     append_pinned_tx,
     certificate_meets_quorum,
     keyblock_hash,
@@ -174,7 +174,7 @@ class ChainState:
         self._touch_microblock(microblock)
 
     def append_to_microblock(
-        self, patient_id: str, tx: Transaction, cert: Optional[PinCertificate]
+        self, patient_id: str, tx: Transaction, cert: Optional[TxCertificate]
     ) -> MicroBlock:
         current = self.microblocks[patient_id]
         updated = append_pinned_tx(current, tx, cert)

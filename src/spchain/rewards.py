@@ -12,7 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .blocks import KeyBlock, MicroBlock, PinCertificate, certificate_meets_quorum
+from .blocks import (
+    KeyBlock,
+    MicroBlock,
+    PinCertificate,
+    TxCertificate,
+    certificate_meets_quorum,
+)
 from .signing import address_of
 from .tx import Transaction
 
@@ -29,13 +35,13 @@ class FeeSchedule:
 def distribute_rewards(
     block: Union[KeyBlock, MicroBlock],
     fees: FeeSchedule,
-    pin_cert: Optional[PinCertificate] = None,
+    pin_cert: Optional[Union[PinCertificate, TxCertificate]] = None,
     batch_txs: Sequence[Transaction] = (),
 ) -> dict[str, float]:
     """Reward map minerId -> amount for one pinned block.
 
     For a microblock, ``pin_cert`` is the certificate that pinned the
-    appended batch and ``batch_txs`` the transactions it covered.
+    appended transactions and ``batch_txs`` those transactions.
     """
     if isinstance(block, KeyBlock):
         cert = block.pin_cert

@@ -15,19 +15,19 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 @dataclass(frozen=True)
 class KeyPair:
     public_key: bytes
-    private_bytes: bytes = field(repr=False)
+    # built once: loading the key costs as much as a signature
+    private_key: Ed25519PrivateKey = field(repr=False, compare=False)
 
 
 def keypair_from_seed(seed: bytes) -> KeyPair:
-    private_bytes = hashlib.sha256(b"spchain/sigkey/" + seed).digest()
-    sk = Ed25519PrivateKey.from_private_bytes(private_bytes)
-    pub = sk.public_key().public_bytes_raw()
-    return KeyPair(public_key=pub, private_bytes=private_bytes)
+    sk = Ed25519PrivateKey.from_private_bytes(
+        hashlib.sha256(b"spchain/sigkey/" + seed).digest()
+    )
+    return KeyPair(public_key=sk.public_key().public_bytes_raw(), private_key=sk)
 
 
 def sign(msg: bytes, keypair: KeyPair) -> bytes:
-    sk = Ed25519PrivateKey.from_private_bytes(keypair.private_bytes)
-    return sk.sign(msg)
+    return keypair.private_key.sign(msg)
 
 
 def verify_sig(msg: bytes, signature: bytes, public_key: bytes) -> bool:

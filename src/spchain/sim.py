@@ -33,13 +33,17 @@ from .adversaries import make_adversary
 from .blocks import (
     KeyBlock,
     MicroBlock,
+    TxCertificate,
+    accept_bitmap,
+    batch_vote_message,
     institution_root,
     keyblock_hash,
+    merkle_root,
     microblock_hash,
     update_institution_root,
 )
 from .chain import ALREADY_REGISTERED, ChainState
-from .consensus import ConsensusGroup, InsufficientQuorum, pin, select_group
+from .consensus import ConsensusGroup, InsufficientQuorum, pin, pin_batch, select_group
 from .group import default_group
 from .metrics import MetricsRecord
 from .mining import ForkChoice, fork_choice, mine_keyblock, target_from_zero_bits
@@ -420,62 +424,96 @@ class Simulation:
         pinned_count = 0
         chunk = (self.chain.tip_height - 1) // CHUNK_SIZE
         requeue: dict[str, list[Transaction]] = {}
-        for tx in batch:
+        pos = 0
+        while pos < len(batch):
+            txs, pos = self._decide_segment(batch, pos)
+            if not txs:
+                continue
+            for tx, outcome in zip(txs, self._vote_on_segment(group, txs)):
+                if isinstance(outcome, InsufficientQuorum):
+                    # back to the head of its queue (FIFO preserved); retried
+                    # next interval
+                    requeue.setdefault(tx.payload.receiver_id, []).append(tx)
+                    continue
+                self._append_pinned(tx, outcome, chunk)
+                pinned_count += 1
+        for receiver_id, txs in requeue.items():
+            self.scheduler.queues[receiver_id].extendleft(reversed(txs))
+        return pinned_count
+
+    def _decide_segment(
+        self, batch: list[Transaction], pos: int
+    ) -> tuple[list[Transaction], int]:
+        """Validate ``batch`` from ``pos`` in order; return the valid
+        transactions and where the next segment starts.
+
+        A label whose target was decided in this segment ends it: the label
+        is valid only if that target is appended, so the segment is pinned
+        before the label is validated."""
+        valid: list[Transaction] = []
+        decided: set[bytes] = set()
+        for tx in batch[pos:]:
+            if tx.tx_type is TxType.LABEL and tx.payload.target_tx_hash in decided:
+                break
+            pos += 1
+            decided.add(tx.tx_id)
             ok, reason = self.chain.validate_tx(tx)
             if not ok:
                 self.invalid_txs += 1
                 self.submit_round.pop(tx.tx_id, None)
                 continue
-            votes = []
-            for m in group.members:
-                if m.miner_id == self.adversary.miner_id and not self.adversary.votes_for_tx(tx):
-                    continue
-                votes.append(
-                    (m.miner_id, sign(tx.tx_id, self.institutions[m.miner_id].keypair))
-                )
-            outcome = pin(tx.tx_id, votes, group)
-            if isinstance(outcome, InsufficientQuorum):
-                # back to the head of its queue (FIFO preserved); retried
-                # next interval
-                requeue.setdefault(tx.payload.receiver_id, []).append(tx)
-                continue
+            valid.append(tx)
+        return valid, pos
 
-            patient_id = self.chain.patient_id_for(tx.sender_pk)
-            receiver = tx.payload.receiver_id
-            inst = self.institutions[receiver]
-            leaves = self.patient_leaves[patient_id]
-            if inst.info_leaf not in leaves:
-                # first record at this institution: extend the certified set
-                # under the same root via a trapdoor collision at the home
-                # institution, so the stored root never changes
-                leaves.append(inst.info_leaf)
-                home = self.institutions[self.home_institution[patient_id]]
-                current = self.chain.microblocks[patient_id]
-                new_root = update_institution_root(
-                    current.institution_root, leaves, home.ch_keys.hk, home.ch_keys.tk
-                )
-                self.chain.replace_microblock(
-                    dataclasses.replace(current, institution_root=new_root)
-                )
-            self.chain.append_to_microblock(patient_id, tx, outcome)
-            pinned_count += 1
-            self.total_medical_txs += 1
-            counts = self.tml_counts.setdefault(receiver, {})
-            counts[chunk] = counts.get(chunk, 0) + 1
+    def _vote_on_segment(self, group: ConsensusGroup, txs: list[Transaction]):
+        """Each member signs the segment's Merkle root and its accept bitmap
+        once; the tally gives each transaction's certificate or shortfall."""
+        tx_ids = [tx.tx_id for tx in txs]
+        root = merkle_root(tx_ids)
+        votes = []
+        for m in group.members:
+            bitmap = accept_bitmap([
+                m.miner_id != self.adversary.miner_id or self.adversary.votes_for_tx(tx)
+                for tx in txs
+            ])
+            message = batch_vote_message(group.epoch, root, bitmap)
+            keypair = self.institutions[m.miner_id].keypair
+            votes.append((m.miner_id, bitmap, sign(message, keypair)))
+        return pin_batch(tx_ids, votes, group).outcomes
 
-            microblock = self.chain.microblocks[patient_id]
-            for miner, amount in distribute_rewards(
-                microblock, self.fees, pin_cert=outcome, batch_txs=[tx]
-            ).items():
-                self.total_rewards[miner] = self.total_rewards.get(miner, 0.0) + amount
+    def _append_pinned(self, tx: Transaction, cert: TxCertificate, chunk: int) -> None:
+        patient_id = self.chain.patient_id_for(tx.sender_pk)
+        receiver = tx.payload.receiver_id
+        inst = self.institutions[receiver]
+        leaves = self.patient_leaves[patient_id]
+        if inst.info_leaf not in leaves:
+            # first record at this institution: extend the certified set
+            # under the same root via a trapdoor collision at the home
+            # institution, so the stored root never changes
+            leaves.append(inst.info_leaf)
+            home = self.institutions[self.home_institution[patient_id]]
+            current = self.chain.microblocks[patient_id]
+            new_root = update_institution_root(
+                current.institution_root, leaves, home.ch_keys.hk, home.ch_keys.tk
+            )
+            self.chain.replace_microblock(
+                dataclasses.replace(current, institution_root=new_root)
+            )
+        self.chain.append_to_microblock(patient_id, tx, cert)
+        self.total_medical_txs += 1
+        counts = self.tml_counts.setdefault(receiver, {})
+        counts[chunk] = counts.get(chunk, 0) + 1
 
-            latency = self.round_number - self.submit_round.pop(tx.tx_id, self.round_number)
-            self.max_pin_latency = max(self.max_pin_latency, latency)
-            if receiver == self.adversary.victim_id:
-                self.victim_latencies.append(latency)
-        for receiver_id, txs in requeue.items():
-            self.scheduler.queues[receiver_id].extendleft(reversed(txs))
-        return pinned_count
+        microblock = self.chain.microblocks[patient_id]
+        for miner, amount in distribute_rewards(
+            microblock, self.fees, pin_cert=cert, batch_txs=[tx]
+        ).items():
+            self.total_rewards[miner] = self.total_rewards.get(miner, 0.0) + amount
+
+        latency = self.round_number - self.submit_round.pop(tx.tx_id, self.round_number)
+        self.max_pin_latency = max(self.max_pin_latency, latency)
+        if receiver == self.adversary.victim_id:
+            self.victim_latencies.append(latency)
 
     # -- round loop ------------------------------------------------------------
 

@@ -2,8 +2,15 @@ import random
 
 import pytest
 
-from spchain.blocks import PinCertificate
-from spchain.consensus import ConsensusGroup, GroupMember, pin
+from spchain.blocks import (
+    BatchVote,
+    PinCertificate,
+    TxCertificate,
+    accept_bitmap,
+    batch_vote_message,
+    merkle_root,
+)
+from spchain.consensus import ConsensusGroup, GroupMember, pin, pin_batch
 from spchain.group import BilinearGroup, default_group
 from spchain.signing import keypair_from_seed, sign
 
@@ -44,3 +51,33 @@ def pin_subject(subject: bytes, consensus_group, keypairs) -> PinCertificate:
     outcome = pin(subject, votes, consensus_group)
     assert isinstance(outcome, PinCertificate)
     return outcome
+
+
+def pin_tx(tx_id: bytes, consensus_group, keypairs) -> TxCertificate:
+    """Pin ``tx_id`` as a one-transaction batch, every member signing."""
+    root, bitmap = merkle_root([tx_id]), accept_bitmap([True])
+    message = batch_vote_message(consensus_group.epoch, root, bitmap)
+    votes = [
+        (m.miner_id, bitmap, sign(message, keypairs[m.miner_id]))
+        for m in consensus_group.members
+    ]
+    (outcome,) = pin_batch([tx_id], votes, consensus_group).outcomes
+    assert isinstance(outcome, TxCertificate)
+    return outcome
+
+
+def tx_cert(tx_id: bytes, weights=(1.0, 1.0, 1.0)) -> TxCertificate:
+    """A quorum certificate for ``tx_id`` alone in its batch, every member
+    accepting. The signatures are placeholders: ``append_pinned_tx`` and
+    ``distribute_rewards`` do not verify them."""
+    return TxCertificate(
+        batch_root=merkle_root([tx_id]),
+        index=0,
+        path=(),
+        signers=tuple(
+            BatchVote(f"m{i}", w, accept_bitmap([True]), b"s%d" % i)
+            for i, w in enumerate(weights)
+        ),
+        group_size=len(weights),
+        group_total_weight=sum(weights),
+    )

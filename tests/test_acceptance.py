@@ -48,7 +48,7 @@ from spchain.scheduler import SchedulerState, schedule_batch
 from spchain.sim import run_scenario
 from spchain.simconfig import ScenarioConfig
 
-from tests.conftest import pin_subject
+from tests.conftest import pin_subject, pin_tx
 from tests.test_consensus import signed_group
 from tests.test_reputation import A, LAM, oracle_r2
 
@@ -349,13 +349,13 @@ def _workflow_chain(chain_length: int, group, trio):
         record = EmrRecord(b"visit-%d" % i, hospital.address, alice.address, 1)
         tx = upload(alice, hospital, record, chain, fee=1)
         assert chain.validate_tx(tx) == (True, "OK")
-        cert = pin_subject(tx.tx_id, consensus_group, keypairs)
+        cert = pin_tx(tx.tx_id, consensus_group, keypairs)
         chain.append_to_microblock(alice.address, tx, cert)
         records.append((record, tx))
 
     fix = EmrRecord(b"visit-2-corrected", hospital.address, alice.address, 1)
     label_tx = label(alice, hospital, records[2][1].tx_id, fix, chain, fee=1)
-    cert = pin_subject(label_tx.tx_id, consensus_group, keypairs)
+    cert = pin_tx(label_tx.tx_id, consensus_group, keypairs)
     chain.append_to_microblock(alice.address, label_tx, cert)
 
     shared = share(alice, hospital, specialist, [records[0][1].tx_id], chain)

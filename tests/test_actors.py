@@ -14,20 +14,11 @@ from spchain.actors import (
     share,
     upload,
 )
-from spchain.blocks import GENESIS_MICROBLOCK_HASH, MicroBlock, PinCertificate, PinSignature, institution_root
+from spchain.blocks import GENESIS_MICROBLOCK_HASH, MicroBlock, institution_root
 from spchain.chain import ChainState
 from spchain.envelope import unseal_layer
 from spchain.tx import TxType
-
-
-def quorum_cert(subject: bytes) -> PinCertificate:
-    return PinCertificate(
-        subject_hash=subject,
-        signers=(PinSignature("m0", 1.0, b"a"), PinSignature("m1", 1.0, b"b"),
-                 PinSignature("m2", 1.0, b"c")),
-        group_size=3,
-        group_total_weight=3.0,
-    )
+from tests.conftest import tx_cert
 
 
 @pytest.fixture
@@ -58,7 +49,7 @@ def clinic(group):
 
 
 def pin_upload(chain, patient, tx):
-    chain.append_to_microblock(patient.address, tx, quorum_cert(tx.tx_id))
+    chain.append_to_microblock(patient.address, tx, tx_cert(tx.tx_id))
 
 
 def test_setup_roles_and_determinism(group):

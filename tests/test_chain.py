@@ -17,6 +17,7 @@ from spchain.blocks import (
 from spchain.chain import ChainState
 from spchain.signing import keypair_from_seed, sign
 from spchain.tx import TxType, build_tx
+from tests.conftest import tx_cert
 
 
 def quorum_cert(subject: bytes) -> PinCertificate:
@@ -238,7 +239,7 @@ def test_one_microblock_per_patient(world, group):
 def test_append_and_lookup_counts_accesses(world, group):
     chain, institution, patient = registered(world, group)
     tx = medical_tx(chain, institution, patient, group)
-    chain.append_to_microblock(patient.address, tx, quorum_cert(tx.tx_id))
+    chain.append_to_microblock(patient.address, tx, tx_cert(tx.tx_id))
     before = chain.store_accesses
     found = chain.find_patient_tx(patient.address, tx.tx_id)
     assert found == tx

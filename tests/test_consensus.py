@@ -4,12 +4,20 @@ import random
 
 import pytest
 
-from spchain.blocks import PinCertificate, certificate_meets_quorum
+from spchain.blocks import (
+    PinCertificate,
+    TxCertificate,
+    accept_bitmap,
+    batch_vote_message,
+    certificate_meets_quorum,
+    merkle_root,
+)
 from spchain.consensus import (
     ConsensusGroup,
     GroupMember,
     InsufficientQuorum,
     pin,
+    pin_batch,
     select_group,
 )
 from spchain.signing import keypair_from_seed, sign
@@ -90,6 +98,90 @@ def test_pin_ignores_outsiders_duplicates_and_bad_signatures():
     assert isinstance(outcome, InsufficientQuorum)
     assert outcome.vote_count == 2
     assert set(outcome.ignored) == {"m1", "intruder"}
+
+
+# -- batch votes ---------------------------------------------------------------
+
+BATCH = [bytes([i]) * 32 for i in range(4)]
+
+
+def batch_vote(mid, keypairs, accepts, tx_ids=BATCH, epoch=0):
+    bitmap = accept_bitmap(accepts)
+    message = batch_vote_message(epoch, merkle_root(tx_ids), bitmap)
+    return (mid, bitmap, sign(message, keypairs[mid]))
+
+
+def test_pin_batch_full_vote_certifies_every_tx():
+    group, keypairs = signed_trio()
+    votes = [batch_vote(mid, keypairs, [True] * 4) for mid in keypairs]
+    tally = pin_batch(BATCH, votes, group)
+    assert tally.ignored == ()
+    for index, cert in enumerate(tally.outcomes):
+        assert isinstance(cert, TxCertificate)
+        assert cert.index == index and cert.batch_root == merkle_root(BATCH)
+        assert [s.signer_id for s in cert.signers] == ["m0", "m1", "m2"]
+        assert certificate_meets_quorum(cert)
+
+
+def bad_votes(kind, keypairs):
+    """m2's vote on BATCH, spoiled one way; m0 and m1 vote honestly."""
+    honest = batch_vote("m2", keypairs, [True] * 4)
+    if kind == "tampered bitmap":
+        return [("m2", accept_bitmap([True, False, True, True]), honest[2])]
+    if kind == "bad signature":
+        return [batch_vote("m2", keypairs, [True] * 4, epoch=1)]
+    if kind == "wrong width":
+        return [batch_vote("m2", keypairs, [True] * 9)]
+    if kind == "duplicate":
+        return [honest, batch_vote("m2", keypairs, [False] * 4)]
+    raise AssertionError(kind)
+
+
+@pytest.mark.parametrize(
+    "kind", ["tampered bitmap", "bad signature", "wrong width", "duplicate"]
+)
+def test_pin_batch_ignores_a_bad_vote_for_the_whole_batch(kind):
+    group, keypairs = signed_trio()
+    votes = [batch_vote(mid, keypairs, [True] * 4) for mid in ("m0", "m1")]
+    tally = pin_batch(BATCH, votes + bad_votes(kind, keypairs), group)
+    assert set(tally.ignored) == {"m2"}
+    for outcome in tally.outcomes:
+        # m2 counts for no transaction: 2 of 3 equal weights is not > 2/3
+        assert isinstance(outcome, InsufficientQuorum)
+        assert outcome.vote_count == 2
+        assert "m2" in outcome.ignored
+
+
+def test_pin_batch_ignores_non_member():
+    group, keypairs = signed_trio()
+    keypairs = dict(keypairs, intruder=keypair_from_seed(b"stranger"))
+    votes = [batch_vote(mid, keypairs, [True] * 4) for mid in keypairs]
+    tally = pin_batch(BATCH, votes, group)
+    assert tally.ignored == ("intruder",)
+    for cert in tally.outcomes:
+        assert isinstance(cert, TxCertificate)
+        assert [s.signer_id for s in cert.signers] == ["m0", "m1", "m2"]
+
+
+def test_pin_batch_inhibitor_sinks_only_the_victims_txs():
+    """In an equal-weight trio, m2's zero bits leave the victim's
+    transactions (indices 1 and 3) with 2 of 3 votes: the count rule holds,
+    the weight rule fails. The other transactions are certified by all."""
+    group, keypairs = signed_trio()
+    victim = [False, True, False, True]
+    votes = [batch_vote(mid, keypairs, [True] * 4) for mid in ("m0", "m1")]
+    votes.append(batch_vote("m2", keypairs, [not v for v in victim]))
+    tally = pin_batch(BATCH, votes, group)
+    assert tally.ignored == ()
+    for index, outcome in enumerate(tally.outcomes):
+        if victim[index]:
+            assert isinstance(outcome, InsufficientQuorum)
+            assert (outcome.vote_count, outcome.required_count) == (2, 2)
+            assert outcome.vote_weight == pytest.approx(2.0)
+            assert outcome.required_weight == pytest.approx(2.0)
+        else:
+            assert isinstance(outcome, TxCertificate)
+            assert len(outcome.signers) == 3
 
 
 def signed_group(weights, subject):

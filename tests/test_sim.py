@@ -2,12 +2,19 @@ import dataclasses
 
 import pytest
 
+from spchain.actors import EmrRecord, upload
+from spchain import sim as sim_mod
 from spchain.bench import bench_throughput
 from spchain.blocks import GENESIS_KEYBLOCK_HASH, keyblock_hash
+from spchain.chain import LABEL_TARGET_MISSING
+from spchain.consensus import ConsensusGroup, GroupMember
 from spchain.metrics import CSV_HEADER_COMMENT, metrics_csv_text, reputation_csv_text
 from spchain.mining import check_puzzle
 from spchain.sim import WEIGHT_FLOOR, Simulation, run_scenario
+from spchain.scheduler import schedule_batch
 from spchain.simconfig import ConfigError, ScenarioConfig, parse_config_text
+from spchain.tx import LabelPayload, TxType, build_tx
+from tests.test_golden import BASE as GOLDEN_BASE, GOLDEN
 
 
 BASE = ScenarioConfig(
@@ -134,6 +141,138 @@ def test_weight_floor_bootstraps_round_one():
     assert record.keyblock_pinned == 1  # pinning works with zero reputation
     group = sim.current_group({m.address: 0.0 for m in sim.miners})
     assert all(m.weight == WEIGHT_FLOOR for m in group.members)
+
+
+# -- batch order -------------------------------------------------------------------
+
+
+def one_patient_sim(adversary_type):
+    """Three miners, one registered patient with one pinned record, empty
+    queues, and a three-member equal-weight group."""
+    cfg = ScenarioConfig(
+        seed=4, rounds=10, miner_count=3, group_size=3, patient_count=1,
+        patient_arrival_per_round=1, upload_rate=0.0, label_rate=0.0,
+        adversary_type=adversary_type,
+    )
+    sim = Simulation(cfg)
+    while not sim.chain.patients:
+        sim.run_round()
+    group = ConsensusGroup(
+        members=tuple(
+            GroupMember(m.address, 1.0, m.keypair.public_key) for m in sim.miners
+        ),
+        epoch=sim.round_number,
+    )
+    (patient,) = sim.patients.values()
+    earlier = visit(sim, patient, sim.miners[1], b"earlier")
+    sim.scheduler.enqueue(sim.miners[1].address, earlier)
+    assert sim._pin_tx_batch(group, schedule_batch(sim.scheduler, {})) == 1
+    return sim, group, patient, earlier
+
+
+def visit(sim, patient, inst, plaintext):
+    record = EmrRecord(plaintext, inst.address, patient.address, sim.round_number)
+    return upload(patient, inst, record, sim.chain, fee=1)
+
+
+def label_of(sim, patient, inst, target_tx_id):
+    """A label naming ``target_tx_id``, which need not be pinned yet."""
+    body = visit(sim, patient, inst, b"corrected").payload
+    payload = LabelPayload(
+        receiver_id=inst.address, target_tx_hash=target_tx_id, ch_digest=body.ch_digest,
+        pointer=body.pointer, round_number=body.round_number,
+    )
+    return build_tx(
+        TxType.LABEL, payload, patient.keypair, sim.chain.group, fee=1,
+        receiver_hk=inst.ch_keys.hk,
+    )
+
+
+@pytest.mark.parametrize("adversary_type", ["none", "inhibition"])
+def test_label_sees_its_target_decided_earlier_in_the_batch(adversary_type):
+    """A label behind its own target in one batch is validated against the
+    chain the target's outcome leaves: pinned when the target was pinned,
+    LABEL_TARGET_MISSING when the target missed quorum and was requeued."""
+    sim, group, patient, earlier = one_patient_sim(adversary_type)
+    victim = sim.miners[0]
+    if adversary_type == "inhibition":
+        assert sim.adversary.victim_id == victim.address
+        assert group.member(sim.adversary.miner_id) is not None
+    m = visit(sim, patient, victim, b"record")
+    l = label_of(sim, patient, victim, m.tx_id)
+    later = visit(sim, patient, victim, b"later")
+    for tx in (m, l, later):
+        sim.scheduler.enqueue(victim.address, tx)
+        sim.submit_round[tx.tx_id] = sim.round_number
+    sim.scheduler.batch_cap = 2
+    batch = schedule_batch(sim.scheduler, {})
+    assert batch == [m, l]
+    invalid, accesses = sim.invalid_txs, sim.chain.store_accesses
+
+    pinned = sim._pin_tx_batch(group, batch)
+
+    txs = sim.chain.microblocks[patient.address].txs
+    queue = list(sim.scheduler.queues[victim.address])
+    if adversary_type == "none":
+        assert pinned == 2
+        assert txs == (earlier, m, l)
+        assert queue == [later]
+        assert sim.invalid_txs == invalid
+        assert sim.chain.store_accesses == accesses + 2  # scanned earlier, m
+        assert m.tx_id not in sim.submit_round
+    else:
+        # the inhibitor's refusal leaves 2 of 3 equal weights: not > 2/3
+        assert pinned == 0
+        assert txs == (earlier,)
+        assert queue == [m, later]  # m back at the head
+        assert sim.invalid_txs == invalid + 1
+        assert sim.chain.store_accesses == accesses + 1  # scanned earlier only
+        assert m.tx_id in sim.submit_round
+        assert sim.chain.validate_tx(l) == (False, LABEL_TARGET_MISSING)
+    assert l.tx_id not in sim.submit_round
+
+
+def count_vote_signatures(monkeypatch):
+    """Run the golden ``none`` scenario; return the vote signatures made,
+    and how many the group may make when it signs each scheduled batch
+    once: group size times (non-empty batches, plus the labels that close
+    a batch early, plus keyblock pins)."""
+    counts = {"signs": 0, "allowed": 0}
+    real_sign, real_schedule = sim_mod.sign, sim_mod.schedule_batch
+    real_pin_keyblock = Simulation._pin_keyblock
+
+    def counting_sign(msg, keypair):
+        counts["signs"] += 1
+        return real_sign(msg, keypair)
+
+    def counting_schedule(state, reputations):
+        batch = real_schedule(state, reputations)
+        seen: set[bytes] = set()
+        for tx in batch:
+            if tx.tx_type is TxType.LABEL and tx.payload.target_tx_hash in seen:
+                counts["allowed"] += GOLDEN_BASE.group_size
+            seen.add(tx.tx_id)
+        counts["allowed"] += GOLDEN_BASE.group_size * bool(batch)
+        return batch
+
+    def counting_pin_keyblock(self, group, miner_id, block):
+        counts["allowed"] += group.size
+        return real_pin_keyblock(self, group, miner_id, block)
+
+    monkeypatch.setattr(sim_mod, "sign", counting_sign)
+    monkeypatch.setattr(sim_mod, "schedule_batch", counting_schedule)
+    monkeypatch.setattr(Simulation, "_pin_keyblock", counting_pin_keyblock)
+    result = run_scenario(GOLDEN_BASE)
+    assert result.summary["chain_digest"] == GOLDEN["none"][1]
+    return counts["signs"], counts["allowed"], result.summary["medical_txs_pinned"]
+
+
+def test_group_signs_each_batch_once_not_each_tx(monkeypatch):
+    signs, allowed, pinned = count_vote_signatures(monkeypatch)
+    assert 0 < signs <= allowed
+    # per-transaction voting would sign every pinned transaction
+    assert signs < GOLDEN_BASE.group_size * pinned
+    assert count_vote_signatures(monkeypatch)[0] == signs
 
 
 # -- adversaries ------------------------------------------------------------------

@@ -3,6 +3,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spchain.blocks import (
     GENESIS_KEYBLOCK_HASH,
@@ -11,7 +12,10 @@ from spchain.blocks import (
     MicroBlock,
     PinCertificate,
     PinSignature,
+    BatchVote,
+    accept_bitmap,
     append_pinned_tx,
+    batch_vote_message,
     certificate_meets_quorum,
     decode_block,
     decode_pin_certificate,
@@ -19,12 +23,15 @@ from spchain.blocks import (
     encode_pin_certificate,
     institution_root,
     keyblock_hash,
+    merkle_path_verifies,
+    merkle_paths,
     merkle_root,
     required_vote_count,
     update_institution_root,
 )
 from spchain.chameleon import ch_hash, ch_keygen, ch_verify, message_scalar
-from spchain.signing import keypair_from_seed
+from spchain.consensus import pin_batch
+from spchain.signing import keypair_from_seed, sign
 from spchain.tx import (
     LabelPayload,
     MedicalPayload,
@@ -35,6 +42,7 @@ from spchain.tx import (
     encode_tx,
 )
 from spchain.wire import DecodeError, Reader
+from tests.conftest import tx_cert
 
 
 def make_keys(seed: int, group):
@@ -290,32 +298,82 @@ def test_institution_root_redaction_keeps_h(group):
 # -- microblock append rules ------------------------------------------------------
 
 
-def quorum_cert_for(tx):
-    return PinCertificate(
-        subject_hash=tx.tx_id,
-        signers=(PinSignature("m0", 1.0, b"s0"), PinSignature("m1", 1.0, b"s1"),
-                 PinSignature("m2", 1.0, b"s2")),
-        group_size=3,
-        group_total_weight=3.0,
-    )
-
-
 def test_append_requires_matching_quorum_cert(group):
     keys = make_keys(9, group)
     block = make_microblock(group, keys)
     med = make_medical_tx(group, keys)
     with pytest.raises(ValueError, match="unpinned"):
         append_pinned_tx(block, med, None)
-    wrong = dataclasses.replace(quorum_cert_for(med), subject_hash=b"\x00" * 32)
-    with pytest.raises(ValueError, match="different subject"):
+    wrong = dataclasses.replace(tx_cert(med.tx_id), batch_root=b"\x00" * 32)
+    with pytest.raises(ValueError, match="does not reach the batch root"):
         append_pinned_tx(block, med, wrong)
-    weak = dataclasses.replace(quorum_cert_for(med), signers=quorum_cert_for(med).signers[:1])
+    weak = dataclasses.replace(tx_cert(med.tx_id), signers=tx_cert(med.tx_id).signers[:1])
     with pytest.raises(ValueError, match="below quorum"):
         append_pinned_tx(block, med, weak)
 
-    updated = append_pinned_tx(block, med, quorum_cert_for(med))
+    updated = append_pinned_tx(block, med, tx_cert(med.tx_id))
     assert updated.txs == (med,)
     assert block.txs == ()  # original untouched
+
+
+def test_append_checks_batch_path_and_bitmaps(group, trio):
+    """Certificates from a real five-transaction batch in which m2 refuses
+    index 3: each places only its own transaction, and counts only members
+    whose bit is set."""
+    consensus_group, keypairs = trio
+    keys = make_keys(11, group)
+    txs = [make_medical_tx(group, keys, seed=b"batch-%d" % i) for i in range(5)]
+    tx_ids = [tx.tx_id for tx in txs]
+    root = merkle_root(tx_ids)
+    votes = []
+    for m in consensus_group.members:
+        bitmap = accept_bitmap([m.miner_id != "m2" or i != 3 for i in range(5)])
+        message = batch_vote_message(consensus_group.epoch, root, bitmap)
+        votes.append((m.miner_id, bitmap, sign(message, keypairs[m.miner_id])))
+    outcomes = pin_batch(tx_ids, votes, consensus_group).outcomes
+    block = make_microblock(group, keys)
+    cert = outcomes[2]
+    assert append_pinned_tx(block, txs[2], cert).txs == (txs[2],)
+
+    # a path that does not reach the root: another transaction's
+    # certificate, or this one moved to another index
+    with pytest.raises(ValueError, match="does not reach the batch root"):
+        append_pinned_tx(block, txs[2], outcomes[1])
+    for index in (1, 3, 2 + 8, -1):
+        with pytest.raises(ValueError, match="does not reach the batch root"):
+            append_pinned_tx(block, txs[2], dataclasses.replace(cert, index=index))
+
+    # a counted signer whose bit is unset: m2's vote on index 3 refused it
+    refused = next(s for s in cert.signers if s.signer_id == "m2")
+    assert refused.bitmap != accept_bitmap([True] * 5)
+    forged = dataclasses.replace(outcomes[4], index=3, path=merkle_paths(tx_ids)[1][3])
+    assert forged.signers[-1] == refused
+    with pytest.raises(ValueError, match="did not accept"):
+        append_pinned_tx(block, txs[3], forged)
+    unset = BatchVote("m3", 1.0, accept_bitmap([False] * 5), b"sig")
+    with pytest.raises(ValueError, match="did not accept"):
+        append_pinned_tx(
+            block, txs[2], dataclasses.replace(cert, signers=cert.signers + (unset,))
+        )
+
+    # below quorum
+    with pytest.raises(ValueError, match="below quorum"):
+        append_pinned_tx(block, txs[2], dataclasses.replace(cert, signers=cert.signers[:2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.binary(min_size=32, max_size=32), min_size=1, max_size=64, unique=True))
+def test_merkle_paths_bind_id_and_index(tx_ids):
+    root, paths = merkle_paths(tx_ids)
+    assert root == merkle_root(tx_ids)
+    for i, path in enumerate(paths):
+        assert merkle_path_verifies(tx_ids[i], i, path, root)
+        for j in range(len(tx_ids)):
+            if j != i:
+                assert not merkle_path_verifies(tx_ids[i], j, path, root)
+                assert not merkle_path_verifies(tx_ids[j], i, path, root)
+        for j in (-1, i + (1 << len(path))):
+            assert not merkle_path_verifies(tx_ids[i], j, path, root)
 
 
 def test_append_rejects_register_tx(group):
@@ -323,4 +381,4 @@ def test_append_rejects_register_tx(group):
     block = make_microblock(group, keys)
     reg = make_register_tx(group)
     with pytest.raises(ValueError, match="medical and label"):
-        append_pinned_tx(block, reg, quorum_cert_for(reg))
+        append_pinned_tx(block, reg, tx_cert(reg.tx_id))
