@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from . import wire
@@ -105,7 +105,11 @@ def required_vote_count(group_size: int) -> int:
 
 
 def certificate_meets_quorum(cert: "PinCertificate | TxCertificate") -> bool:
+    """>= 2/3 of the group by count and > 2/3 by weight, each member
+    counted once: a certificate that lists a signer twice fails."""
     if cert.group_size < 1:
+        return False
+    if len({s.signer_id for s in cert.signers}) != len(cert.signers):
         return False
     count_ok = len(cert.signers) >= required_vote_count(cert.group_size)
     weight = sum(s.weight for s in cert.signers)
@@ -164,6 +168,10 @@ class MicroBlock:
     creator_miner_id: str
     round_number: int
     prev_hash: bytes
+    # ``var_bytes(encode_tx(tx))`` for a prefix of ``txs``, extended by
+    # ``_tx_entries`` so each transaction is encoded once. ``replace``
+    # carries it over, so change ``txs`` only by appending.
+    tx_entries: tuple[bytes, ...] = field(default=(), compare=False, repr=False)
 
 
 def encode_keyblock(block: KeyBlock, group: BilinearGroup, include_cert: bool = True) -> bytes:
@@ -186,19 +194,30 @@ def encode_keyblock(block: KeyBlock, group: BilinearGroup, include_cert: bool = 
     return out
 
 
+def _tx_entries(block: MicroBlock, group: BilinearGroup) -> tuple[bytes, ...]:
+    """Every transaction's entry: the stored ones, plus the transactions
+    past them encoded now under ``group`` and stored on the block."""
+    entries = block.tx_entries
+    if len(entries) < len(block.txs):
+        entries += tuple(
+            wire.var_bytes(encode_tx(tx, group)) for tx in block.txs[len(entries):]
+        )
+        object.__setattr__(block, "tx_entries", entries)
+    return entries
+
+
 def encode_microblock(block: MicroBlock, group: BilinearGroup) -> bytes:
-    out = (
+    entries = _tx_entries(block, group)
+    return (
         wire.u8(_KIND_MICROBLOCK)
         + wire.var_str(block.owner_patient_id)
         + encode_digest(block.institution_root, group)
         + wire.var_str(block.creator_miner_id)
         + wire.u64(block.round_number)
         + wire.var_bytes(block.prev_hash)
-        + wire.u32(len(block.txs))
+        + wire.u32(len(entries))
+        + b"".join(entries)
     )
-    for tx in block.txs:
-        out += wire.var_bytes(encode_tx(tx, group))
-    return out
 
 
 def encode_block(block: "KeyBlock | MicroBlock", group: BilinearGroup) -> bytes:
@@ -262,14 +281,19 @@ def _decode_microblock_body(reader: Reader, group: BilinearGroup) -> MicroBlock:
     round_number = reader.u64()
     prev_hash = reader.var_bytes()
     n = reader.u32()
-    txs = tuple(_decode_tx_entry(reader, group) for _ in range(n))
+    txs, entries = [], []
+    for _ in range(n):
+        start = reader.pos
+        txs.append(_decode_tx_entry(reader, group))
+        entries.append(reader.data[start : reader.pos])
     return MicroBlock(
         owner_patient_id=owner,
         institution_root=root,
-        txs=txs,
+        txs=tuple(txs),
         creator_miner_id=creator,
         round_number=round_number,
         prev_hash=prev_hash,
+        tx_entries=tuple(entries),
     )
 
 
@@ -369,7 +393,9 @@ def update_institution_root(
 def append_pinned_tx(
     microblock: MicroBlock, tx: Transaction, cert: Optional[TxCertificate]
 ) -> MicroBlock:
-    """Append a pinned transaction at the tail; prior entries are untouched.
+    """Append a pinned transaction at the tail; prior entries are untouched,
+    and their stored encoding carries over, so the next hash encodes only
+    ``tx``.
 
     ``cert`` must place ``tx`` in its batch, and every member it counts
     must have accepted that index. Vote signatures are verified where the

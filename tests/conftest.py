@@ -2,17 +2,21 @@ import random
 
 import pytest
 
+from spchain import wire
 from spchain.blocks import (
     BatchVote,
+    MicroBlock,
     PinCertificate,
     TxCertificate,
     accept_bitmap,
     batch_vote_message,
     merkle_root,
 )
+from spchain.chameleon import encode_digest
 from spchain.consensus import ConsensusGroup, GroupMember, pin, pin_batch
 from spchain.group import BilinearGroup, default_group
 from spchain.signing import keypair_from_seed, sign
+from spchain.tx import encode_tx
 
 
 @pytest.fixture(scope="session")
@@ -81,3 +85,20 @@ def tx_cert(tx_id: bytes, weights=(1.0, 1.0, 1.0)) -> TxCertificate:
         group_size=len(weights),
         group_total_weight=sum(weights),
     )
+
+
+def fresh_microblock_encoding(block: MicroBlock, group) -> bytes:
+    """The microblock wire layout written out from ``block.txs``, each
+    transaction encoded anew; the oracle for the stored entries."""
+    out = (
+        wire.u8(2)
+        + wire.var_str(block.owner_patient_id)
+        + encode_digest(block.institution_root, group)
+        + wire.var_str(block.creator_miner_id)
+        + wire.u64(block.round_number)
+        + wire.var_bytes(block.prev_hash)
+        + wire.u32(len(block.txs))
+    )
+    for tx in block.txs:
+        out += wire.var_bytes(encode_tx(tx, group))
+    return out

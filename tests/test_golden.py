@@ -14,9 +14,11 @@ import hashlib
 import pytest
 
 from spchain.bench import BenchCell, run_cell
+from spchain.blocks import decode_block, encode_block, microblock_hash
 from spchain.metrics import metrics_csv_text, reputation_csv_text, summary_text
 from spchain.sim import run_scenario
 from spchain.simconfig import ScenarioConfig
+from tests.conftest import fresh_microblock_encoding
 
 BASE = ScenarioConfig(
     seed=3,
@@ -98,6 +100,25 @@ def test_scenario_outputs_match_recorded(name):
     assert _sha(metrics_csv_text(result.records)) == metrics_sha
     assert _sha(reputation_csv_text(result.reputation_rows)) == reputation_sha
     assert _sha(summary_text(result.summary)) == summary_sha
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_microblock_hashes_match_a_fresh_encoding(name):
+    """Each final microblock hashes as its transactions encoded anew, and
+    survives a wire round trip with its stored entries, redacted
+    institution roots included."""
+    sim = run_scenario(dataclasses.replace(BASE, **GOLDEN[name][0])).sim
+    group = sim.group_params
+    redacted = 0
+    for patient_id, mb in sim.chain.microblocks.items():
+        fresh = fresh_microblock_encoding(mb, group)
+        assert microblock_hash(mb, group) == hashlib.sha256(fresh).digest()
+        decoded = decode_block(encode_block(mb, group), group)
+        assert decoded == mb
+        assert decoded.tx_entries == mb.tx_entries
+        assert microblock_hash(decoded, group) == microblock_hash(mb, group)
+        redacted += len(sim.patient_leaves[patient_id]) > 1
+    assert redacted > 0
 
 
 def test_bench_cell_matches_recorded():

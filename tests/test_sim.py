@@ -3,10 +3,14 @@ import dataclasses
 import pytest
 
 from spchain.actors import EmrRecord, upload
+from spchain import actors as actors_mod
+from spchain import chain as chain_mod
+from spchain import mining as mining_mod
 from spchain import sim as sim_mod
+from spchain import tx as tx_mod
 from spchain.bench import bench_throughput
 from spchain.blocks import GENESIS_KEYBLOCK_HASH, keyblock_hash
-from spchain.chain import LABEL_TARGET_MISSING
+from spchain.chain import LABEL_TARGET_MISSING, ChainState
 from spchain.consensus import ConsensusGroup, GroupMember
 from spchain.metrics import CSV_HEADER_COMMENT, metrics_csv_text, reputation_csv_text
 from spchain.mining import check_puzzle
@@ -273,6 +277,52 @@ def test_group_signs_each_batch_once_not_each_tx(monkeypatch):
     # per-transaction voting would sign every pinned transaction
     assert signs < GOLDEN_BASE.group_size * pinned
     assert count_vote_signatures(monkeypatch)[0] == signs
+
+
+def count_tx_encodings(monkeypatch):
+    """Run the golden ``none`` scenario; return the ``signing_bytes`` calls
+    made, and how many a linear chain makes: one per transaction built,
+    one per validation, one per pinned transaction (its microblock entry),
+    plus the register transactions each ``keyblock_hash`` encodes."""
+    counts = {"calls": 0, "allowed": 0}
+    real_signing_bytes, real_build_tx = tx_mod.signing_bytes, actors_mod.build_tx
+    real_validate, real_keyblock_hash = ChainState.validate_tx, sim_mod.keyblock_hash
+
+    def counting_signing_bytes(*args):
+        counts["calls"] += 1
+        return real_signing_bytes(*args)
+
+    def counting_build_tx(*args, **kwargs):
+        counts["allowed"] += 1
+        return real_build_tx(*args, **kwargs)
+
+    def counting_validate(self, tx):
+        counts["allowed"] += 1
+        return real_validate(self, tx)
+
+    def counting_keyblock_hash(block, group):
+        counts["allowed"] += len(block.register_txs)
+        return real_keyblock_hash(block, group)
+
+    for module in (tx_mod, chain_mod):
+        monkeypatch.setattr(module, "signing_bytes", counting_signing_bytes)
+    monkeypatch.setattr(actors_mod, "build_tx", counting_build_tx)
+    monkeypatch.setattr(ChainState, "validate_tx", counting_validate)
+    for module in (chain_mod, mining_mod, sim_mod):
+        monkeypatch.setattr(module, "keyblock_hash", counting_keyblock_hash)
+    result = run_scenario(GOLDEN_BASE)
+    assert result.summary["chain_digest"] == GOLDEN["none"][1]
+    pinned = result.summary["medical_txs_pinned"]
+    return counts["calls"], counts["allowed"] + pinned, pinned
+
+
+def test_each_pinned_tx_is_encoded_once_not_each_append(monkeypatch):
+    calls, allowed, pinned = count_tx_encodings(monkeypatch)
+    assert pinned > 0
+    # re-encoding the whole microblock on every append costs about half a
+    # patient's history per append on top of this
+    assert 0 < calls <= allowed
+    assert count_tx_encodings(monkeypatch)[0] == calls
 
 
 # -- adversaries ------------------------------------------------------------------

@@ -26,6 +26,7 @@ from spchain.blocks import (
     merkle_path_verifies,
     merkle_paths,
     merkle_root,
+    microblock_hash,
     required_vote_count,
     update_institution_root,
 )
@@ -41,8 +42,9 @@ from spchain.tx import (
     decode_tx,
     encode_tx,
 )
+from spchain import wire
 from spchain.wire import DecodeError, Reader
-from tests.conftest import tx_cert
+from tests.conftest import fresh_microblock_encoding, tx_cert
 
 
 def make_keys(seed: int, group):
@@ -178,6 +180,27 @@ def test_quorum_needs_count_and_weight():
     assert not certificate_meets_quorum(cert([s(0, 6.0)], 3, 6.5))
 
 
+def test_repeated_signer_never_meets_quorum(group):
+    """One member listed three times is one vote of three, for both
+    certificate types."""
+    honest = tx_cert(b"\x01" * 32)
+    assert certificate_meets_quorum(honest)
+    tripled = dataclasses.replace(honest, signers=honest.signers[:1] * 3)
+    assert not certificate_meets_quorum(tripled)
+    once = PinSignature(signer_id="m0", weight=1.0, signature=b"sig")
+    pin_cert = PinCertificate(
+        subject_hash=b"\x01" * 32, signers=(once,) * 3, group_size=3,
+        group_total_weight=3.0,
+    )
+    assert not certificate_meets_quorum(pin_cert)
+
+    keys = make_keys(12, group)
+    med = make_medical_tx(group, keys)
+    tripled = dataclasses.replace(tx_cert(med.tx_id), signers=honest.signers[:1] * 3)
+    with pytest.raises(ValueError, match="below quorum"):
+        append_pinned_tx(make_microblock(group, keys), med, tripled)
+
+
 def test_pin_certificate_roundtrip():
     cert = PinCertificate(
         subject_hash=b"\x02" * 32,
@@ -241,7 +264,13 @@ def test_microblock_roundtrip(group):
     keys = make_keys(6, group)
     med = make_medical_tx(group, keys)
     block = make_microblock(group, keys, txs=[med])
-    assert decode_block(encode_block(block, group), group) == block
+    expected = hashlib.sha256(fresh_microblock_encoding(block, group)).digest()
+    assert microblock_hash(block, group) == expected
+    assert block.tx_entries == (wire.var_bytes(encode_tx(med, group)),)
+    decoded = decode_block(encode_block(block, group), group)
+    assert decoded == block
+    assert decoded.tx_entries == block.tx_entries
+    assert microblock_hash(decoded, group) == expected
 
 
 def test_keyblock_hash_ignores_certificate(group):
