@@ -9,7 +9,6 @@ Encoding is canonical and round-trip exact.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -40,45 +39,26 @@ _KIND_MICROBLOCK = 2
 
 
 @dataclass(frozen=True)
-class PinSignature:
-    signer_id: str
-    weight: float
-    signature: bytes
-
-
-@dataclass(frozen=True)
-class PinCertificate:
-    """Quorum certificate: >= 2/3 of the group by count AND > 2/3 by weight."""
-
-    subject_hash: bytes
-    signers: tuple[PinSignature, ...]
-    group_size: int
-    group_total_weight: float
-
-
-@dataclass(frozen=True)
 class BatchVote:
     """A member's one signature over a scheduled batch: the Merkle root of
-    its transaction ids and the member's accept bitmap."""
+    its subjects and the member's accept bitmap."""
 
     signer_id: str
-    weight: float
     bitmap: bytes
     signature: bytes
 
 
 @dataclass(frozen=True)
 class TxCertificate:
-    """A transaction's share of its batch's votes: the batch root, the
-    transaction's index and inclusion path, and the members whose verified
-    bitmap accepts it."""
+    """A subject's share of its batch's votes: the batch root, the
+    subject's index and inclusion path, and the members whose verified
+    bitmap accepts it. A keyblock is pinned as the one-entry batch of its
+    hash; a transaction as an entry of its scheduled batch."""
 
     batch_root: bytes
     index: int
     path: tuple[bytes, ...]
     signers: tuple[BatchVote, ...]
-    group_size: int
-    group_total_weight: float
 
 
 def batch_vote_message(epoch: int, batch_root: bytes, bitmap: bytes) -> bytes:
@@ -100,49 +80,28 @@ def bitmap_accepts(bitmap: bytes, index: int) -> bool:
     return 0 <= index < 8 * len(bitmap) and bool(bitmap[index >> 3] >> (index & 7) & 1)
 
 
-def required_vote_count(group_size: int) -> int:
-    return math.ceil(2 * group_size / 3)
-
-
-def certificate_meets_quorum(cert: "PinCertificate | TxCertificate") -> bool:
-    """>= 2/3 of the group by count and > 2/3 by weight, each member
-    counted once: a certificate that lists a signer twice fails."""
-    if cert.group_size < 1:
-        return False
-    if len({s.signer_id for s in cert.signers}) != len(cert.signers):
-        return False
-    count_ok = len(cert.signers) >= required_vote_count(cert.group_size)
-    weight = sum(s.weight for s in cert.signers)
-    weight_ok = weight > (2.0 / 3.0) * cert.group_total_weight
-    return count_ok and weight_ok
-
-
-def encode_pin_certificate(cert: PinCertificate) -> bytes:
-    out = wire.var_bytes(cert.subject_hash)
+def encode_certificate(cert: TxCertificate) -> bytes:
+    out = wire.var_bytes(cert.batch_root) + wire.u32(cert.index) + wire.u32(len(cert.path))
+    out += b"".join(wire.var_bytes(node) for node in cert.path)
     out += wire.u32(len(cert.signers))
     for s in cert.signers:
-        out += wire.var_str(s.signer_id) + wire.f64(s.weight) + wire.var_bytes(s.signature)
-    out += wire.u32(cert.group_size) + wire.f64(cert.group_total_weight)
+        out += wire.var_str(s.signer_id) + wire.var_bytes(s.bitmap) + wire.var_bytes(s.signature)
     return out
 
 
-def decode_pin_certificate(reader: Reader) -> PinCertificate:
-    subject = reader.var_bytes()
-    n = reader.u32()
+def decode_certificate(reader: Reader) -> TxCertificate:
+    root = reader.var_bytes()
+    index = reader.u32()
+    path = tuple(reader.var_bytes() for _ in range(reader.u32()))
     signers = tuple(
-        PinSignature(
+        BatchVote(
             signer_id=reader.var_str(),
-            weight=reader.f64(),
+            bitmap=reader.var_bytes(),
             signature=reader.var_bytes(),
         )
-        for _ in range(n)
+        for _ in range(reader.u32())
     )
-    return PinCertificate(
-        subject_hash=subject,
-        signers=signers,
-        group_size=reader.u32(),
-        group_total_weight=reader.f64(),
-    )
+    return TxCertificate(batch_root=root, index=index, path=path, signers=signers)
 
 
 # -- blocks ----------------------------------------------------------------
@@ -157,7 +116,7 @@ class KeyBlock:
     register_txs: tuple[Transaction, ...]
     target: int
     height: int
-    pin_cert: Optional[PinCertificate] = None
+    pin_cert: Optional[TxCertificate] = None
 
 
 @dataclass(frozen=True)
@@ -188,7 +147,7 @@ def encode_keyblock(block: KeyBlock, group: BilinearGroup, include_cert: bool = 
     for tx in block.register_txs:
         out += wire.var_bytes(encode_tx(tx, group))
     if include_cert and block.pin_cert is not None:
-        out += wire.u8(1) + encode_pin_certificate(block.pin_cert)
+        out += wire.u8(1) + encode_certificate(block.pin_cert)
     else:
         out += wire.u8(0)
     return out
@@ -261,7 +220,7 @@ def _decode_keyblock_body(reader: Reader, group: BilinearGroup) -> KeyBlock:
         if tx.tx_type is not TxType.REGISTER:
             raise DecodeError("keyblock may only contain register transactions", reader.pos)
         txs.append(tx)
-    cert = decode_pin_certificate(reader) if reader.u8() else None
+    cert = decode_certificate(reader) if reader.u8() else None
     return KeyBlock(
         prev_keyblock_hash=prev,
         penu_microblock_hash=penu,
@@ -390,24 +349,11 @@ def update_institution_root(
 # -- microblock append ------------------------------------------------------
 
 
-def append_pinned_tx(
-    microblock: MicroBlock, tx: Transaction, cert: Optional[TxCertificate]
-) -> MicroBlock:
+def append_pinned_tx(microblock: MicroBlock, tx: Transaction) -> MicroBlock:
     """Append a pinned transaction at the tail; prior entries are untouched,
     and their stored encoding carries over, so the next hash encodes only
-    ``tx``.
-
-    ``cert`` must place ``tx`` in its batch, and every member it counts
-    must have accepted that index. Vote signatures are verified where the
-    certificate is built (``consensus.pin_batch``)."""
-    if cert is None:
-        raise ValueError("unpinned transaction")
-    if not merkle_path_verifies(tx.tx_id, cert.index, cert.path, cert.batch_root):
-        raise ValueError("unpinned transaction: inclusion path does not reach the batch root")
-    if not all(bitmap_accepts(s.bitmap, cert.index) for s in cert.signers):
-        raise ValueError("unpinned transaction: a counted signer did not accept it")
-    if not certificate_meets_quorum(cert):
-        raise ValueError("unpinned transaction: certificate below quorum")
+    ``tx``. The caller has checked its certificate
+    (``ChainState.append_to_microblock``)."""
     if tx.tx_type not in (TxType.MEDICAL, TxType.LABEL):
         raise ValueError("microblocks hold medical and label transactions only")
     return replace(microblock, txs=microblock.txs + (tx,))

@@ -18,12 +18,13 @@ from .blocks import (
     MicroBlock,
     TxCertificate,
     append_pinned_tx,
-    certificate_meets_quorum,
     keyblock_hash,
     microblock_hash,
 )
 from .chameleon import ChameleonHashKey, ch_verify
+from .consensus import ConsensusGroup, check_certificate
 from .group import BilinearGroup
+from .mining import check_puzzle
 from .signing import address_of, verify_sig
 from .tx import (
     LabelPayload,
@@ -154,14 +155,17 @@ class ChainState:
             penu_microblock_hash=self.penu_microblock_hash_for(self.tip_height + 1),
         )
 
-    def add_pinned_keyblock(self, block: KeyBlock) -> None:
-        if block.pin_cert is None or not certificate_meets_quorum(block.pin_cert):
-            raise ValueError("keyblock is not pinned")
+    def add_pinned_keyblock(self, block: KeyBlock, group: ConsensusGroup) -> None:
+        """Extend the pinned tip with ``block``, whose certificate must pin
+        its hash in ``group`` (the group of the round it was pinned in)."""
         digest = keyblock_hash(block, self.group)
-        if block.pin_cert.subject_hash != digest:
-            raise ValueError("pin certificate covers a different keyblock")
+        check_certificate(digest, block.pin_cert, group)
         if block.height != self.tip_height + 1 or block.prev_keyblock_hash != self.tip_hash:
             raise ValueError("keyblock does not extend the pinned tip")
+        if block.penu_microblock_hash != self.penu_microblock_hash_for(block.height):
+            raise ValueError("keyblock names the wrong penultimate microblock")
+        if not check_puzzle(block):
+            raise ValueError("keyblock does not solve its puzzle")
         self.pinned_keyblocks.append(block)
         self._pinned_hashes.append(digest)
 
@@ -174,10 +178,16 @@ class ChainState:
         self._touch_microblock(microblock)
 
     def append_to_microblock(
-        self, patient_id: str, tx: Transaction, cert: Optional[TxCertificate]
+        self,
+        patient_id: str,
+        tx: Transaction,
+        cert: Optional[TxCertificate],
+        group: ConsensusGroup,
     ) -> MicroBlock:
+        """Append ``tx``, whose certificate must pin its id in ``group``."""
+        check_certificate(tx.tx_id, cert, group)
         current = self.microblocks[patient_id]
-        updated = append_pinned_tx(current, tx, cert)
+        updated = append_pinned_tx(current, tx)
         self.microblocks[patient_id] = updated
         self._touch_microblock(updated)
         return updated

@@ -5,27 +5,28 @@ two thirds of the group's signatures by count AND strictly more than two
 thirds of the group's reputation weight. Weights are frozen per epoch at
 group-selection time.
 
-A keyblock gets one signature per member. Transactions are voted on per
-scheduled batch: each member signs the batch's Merkle root and its accept
-bitmap once, and the rule above is applied to each transaction over the
-members that accepted it.
+Subjects are voted on per batch: each member signs the batch's Merkle root
+and its accept bitmap once, and the rule above is applied to each subject
+over the members that accepted it. A keyblock is the one-entry batch of
+its hash. A certificate carries only the votes; its count, weights and
+membership are always taken from the group that signed it.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence, Union
 
 from .blocks import (
     BatchVote,
-    PinCertificate,
-    PinSignature,
     TxCertificate,
     batch_vote_message,
     bitmap_accepts,
+    merkle_path_verifies,
     merkle_paths,
-    required_vote_count,
 )
 from .signing import verify_sig
 
@@ -34,7 +35,7 @@ from .signing import verify_sig
 class GroupMember:
     miner_id: str
     weight: float
-    public_key: Optional[bytes] = None
+    public_key: bytes
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,11 @@ class ConsensusGroup:
     def total_weight(self) -> float:
         return sum(m.weight for m in self.members)
 
+    @cached_property
+    def weights(self) -> dict[str, float]:
+        """Member id -> weight."""
+        return {m.miner_id: m.weight for m in self.members}
+
     def member(self, miner_id: str) -> Optional[GroupMember]:
         for m in self.members:
             if m.miner_id == miner_id:
@@ -60,7 +66,7 @@ class ConsensusGroup:
 def select_group(
     reputations: Mapping[str, float],
     group_size: int,
-    public_keys: Optional[Mapping[str, bytes]] = None,
+    public_keys: Mapping[str, bytes],
     epoch: int = 0,
 ) -> ConsensusGroup:
     """Top-``group_size`` miners by reputation, ties broken by id ascending."""
@@ -72,11 +78,7 @@ def select_group(
         )
     ranked = sorted(reputations.items(), key=lambda kv: (-kv[1], kv[0]))
     members = tuple(
-        GroupMember(
-            miner_id=miner_id,
-            weight=rep,
-            public_key=public_keys.get(miner_id) if public_keys else None,
-        )
+        GroupMember(miner_id=miner_id, weight=rep, public_key=public_keys[miner_id])
         for miner_id, rep in ranked[:group_size]
     )
     return ConsensusGroup(members=members, epoch=epoch)
@@ -93,54 +95,19 @@ class InsufficientQuorum:
     ignored: tuple[str, ...] = ()
 
 
-def pin(
-    subject_hash: bytes,
-    votes: Sequence[tuple[str, bytes]],
-    group: ConsensusGroup,
-) -> Union[PinCertificate, InsufficientQuorum]:
-    """Aggregate votes into a certificate or report the shortfall.
-
-    Votes from non-members (or with bad signatures) are ignored and listed
-    in the outcome's audit trail; duplicates count once.
-    """
-    ignored: list[str] = []
-    accepted: dict[str, PinSignature] = {}
-    for signer_id, signature in votes:
-        member = group.member(signer_id)
-        if member is None:
-            ignored.append(signer_id)
-            continue
-        if signer_id in accepted:
-            continue
-        if member.public_key is None or not verify_sig(
-            subject_hash, signature, member.public_key
-        ):
-            ignored.append(signer_id)
-            continue
-        accepted[signer_id] = PinSignature(
-            signer_id=signer_id, weight=member.weight, signature=signature
-        )
-
-    signers = tuple(accepted[k] for k in sorted(accepted))
-    shortfall = _shortfall(signers, group, ignored)
-    if shortfall is not None:
-        return shortfall
-    return PinCertificate(
-        subject_hash=subject_hash,
-        signers=signers,
-        group_size=group.size,
-        group_total_weight=group.total_weight,
-    )
+def required_vote_count(group_size: int) -> int:
+    return math.ceil(2 * group_size / 3)
 
 
 def _shortfall(
-    signers: Sequence[Union[PinSignature, BatchVote]],
+    signers: Sequence[BatchVote],
     group: ConsensusGroup,
-    ignored: Sequence[str],
+    ignored: Sequence[str] = (),
 ) -> Optional[InsufficientQuorum]:
-    """None when ``signers`` reach quorum in ``group``, else how far short."""
+    """None when ``signers``, distinct members of ``group``, reach quorum
+    in it, else how far short they fall."""
     count = len(signers)
-    weight = sum(s.weight for s in signers)
+    weight = sum(group.weights[s.signer_id] for s in signers)
     need_count = required_vote_count(group.size)
     need_weight = (2.0 / 3.0) * group.total_weight
     if count >= need_count and weight > need_weight:
@@ -154,30 +121,61 @@ def _shortfall(
     )
 
 
+def check_signers(cert: TxCertificate, group: ConsensusGroup) -> None:
+    """Raise ValueError unless every signer of ``cert`` is a member of
+    ``group``, listed once, whose bitmap accepts the certificate's index,
+    and together they reach quorum in ``group``."""
+    seen: set[str] = set()
+    for s in cert.signers:
+        if s.signer_id not in group.weights:
+            raise ValueError(f"not pinned: {s.signer_id!r} is not a group member")
+        if s.signer_id in seen:
+            raise ValueError(f"not pinned: {s.signer_id!r} is listed twice")
+        if not bitmap_accepts(s.bitmap, cert.index):
+            raise ValueError("not pinned: a counted signer did not accept it")
+        seen.add(s.signer_id)
+    if _shortfall(cert.signers, group) is not None:
+        raise ValueError("not pinned: certificate below quorum")
+
+
+def check_certificate(
+    subject: bytes, cert: Optional[TxCertificate], group: ConsensusGroup
+) -> None:
+    """Raise ValueError unless ``cert`` pins ``subject`` in ``group``: its
+    inclusion path leads from ``subject`` to the batch root, and its
+    signers pass ``check_signers``. Vote signatures are verified where the
+    certificate is built (``pin_batch``)."""
+    if cert is None:
+        raise ValueError("not pinned: no certificate")
+    if not merkle_path_verifies(subject, cert.index, cert.path, cert.batch_root):
+        raise ValueError("not pinned: inclusion path does not reach the batch root")
+    check_signers(cert, group)
+
+
 @dataclass(frozen=True)
 class BatchTally:
-    """One outcome per transaction, in batch order, and the votes that
-    counted for none of them."""
+    """One outcome per subject, in batch order, and the votes that counted
+    for none of them."""
 
     outcomes: tuple[Union[TxCertificate, InsufficientQuorum], ...]
     ignored: tuple[str, ...]
 
 
 def pin_batch(
-    tx_ids: Sequence[bytes],
+    subjects: Sequence[bytes],
     votes: Sequence[tuple[str, bytes, bytes]],
     group: ConsensusGroup,
 ) -> BatchTally:
     """Verify each member's one vote ``(signer_id, bitmap, signature)`` on
-    the batch, then apply ``pin``'s quorum rule to each transaction over
-    the verified members whose bitmap accepts it.
+    the batch, then apply the quorum rule to each subject over the
+    verified members whose bitmap accepts it.
 
     A vote from a non-member, with a bitmap of the wrong width or a bad
     signature, or from a member who voted more than once, counts for no
-    transaction and is listed in ``ignored``.
+    subject and is listed in ``ignored``.
     """
-    root, paths = merkle_paths(tx_ids)
-    width = (len(tx_ids) + 7) // 8
+    root, paths = merkle_paths(subjects)
+    width = (len(subjects) + 7) // 8
     vote_counts = Counter(signer_id for signer_id, _, _ in votes)
     ignored: list[str] = []
     accepted: dict[str, BatchVote] = {}
@@ -187,16 +185,13 @@ def pin_batch(
             member is None
             or vote_counts[signer_id] > 1
             or len(bitmap) != width
-            or member.public_key is None
             or not verify_sig(
                 batch_vote_message(group.epoch, root, bitmap), signature, member.public_key
             )
         ):
             ignored.append(signer_id)
             continue
-        accepted[signer_id] = BatchVote(
-            signer_id=signer_id, weight=member.weight, bitmap=bitmap, signature=signature
-        )
+        accepted[signer_id] = BatchVote(signer_id=signer_id, bitmap=bitmap, signature=signature)
 
     voters = [accepted[k] for k in sorted(accepted)]
     outcomes: list[Union[TxCertificate, InsufficientQuorum]] = []
@@ -206,14 +201,15 @@ def pin_batch(
         if shortfall is not None:
             outcomes.append(shortfall)
             continue
-        outcomes.append(
-            TxCertificate(
-                batch_root=root,
-                index=index,
-                path=path,
-                signers=signers,
-                group_size=group.size,
-                group_total_weight=group.total_weight,
-            )
-        )
+        outcomes.append(TxCertificate(batch_root=root, index=index, path=path, signers=signers))
     return BatchTally(outcomes=tuple(outcomes), ignored=tuple(ignored))
+
+
+def pin(
+    subject_hash: bytes,
+    votes: Sequence[tuple[str, bytes, bytes]],
+    group: ConsensusGroup,
+) -> Union[TxCertificate, InsufficientQuorum]:
+    """Pin one subject (a keyblock) as the one-entry batch
+    ``[subject_hash]``: its certificate, or the shortfall."""
+    return pin_batch([subject_hash], votes, group).outcomes[0]

@@ -12,14 +12,17 @@ import enum
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import wire
 from .blocks import KeyBlock, keyblock_hash
-from .chain import ChainView
 from .group import BilinearGroup
 from .signing import KeyPair
 from .tx import Transaction
+
+if TYPE_CHECKING:
+    # annotations only: chain imports check_puzzle from here
+    from .chain import ChainView
 
 HASH_BITS = 256
 

@@ -12,13 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .blocks import (
-    KeyBlock,
-    MicroBlock,
-    PinCertificate,
-    TxCertificate,
-    certificate_meets_quorum,
-)
+from .blocks import KeyBlock, MicroBlock, TxCertificate
+from .consensus import ConsensusGroup, check_signers
 from .signing import address_of
 from .tx import Transaction
 
@@ -35,33 +30,34 @@ class FeeSchedule:
 def distribute_rewards(
     block: Union[KeyBlock, MicroBlock],
     fees: FeeSchedule,
-    pin_cert: Optional[Union[PinCertificate, TxCertificate]] = None,
+    group: ConsensusGroup,
+    pin_cert: Optional[TxCertificate] = None,
     batch_txs: Sequence[Transaction] = (),
 ) -> dict[str, float]:
-    """Reward map minerId -> amount for one pinned block.
+    """Reward map minerId -> amount for one block pinned by ``group``.
 
     For a microblock, ``pin_cert`` is the certificate that pinned the
-    appended transactions and ``batch_txs`` those transactions.
+    appended transactions and ``batch_txs`` those transactions. Signer
+    weights are read from ``group``.
     """
+    cert = block.pin_cert if isinstance(block, KeyBlock) else pin_cert
+    if cert is None:
+        raise ValueError("block is not pinned")
+    check_signers(cert, group)
     if isinstance(block, KeyBlock):
-        cert = block.pin_cert
-        if cert is None or not certificate_meets_quorum(cert):
-            raise ValueError("block is not pinned")
         creator = address_of(block.miner_public_key)
         total = fees.mining_reward + sum(tx.fee for tx in block.register_txs)
         return {creator: total}
 
-    cert = pin_cert
-    if cert is None or not certificate_meets_quorum(cert):
-        raise ValueError("block is not pinned")
     total = fees.micro_reward + sum(tx.fee for tx in batch_txs)
     signer_pool = total * (1.0 - fees.creator_share)
-    signer_weight = sum(s.weight for s in cert.signers)
+    weights = [group.weights[s.signer_id] for s in cert.signers]
+    signer_weight = sum(weights)
     rewards: dict[str, float] = {}
     distributed = 0.0
     if signer_weight > 0:
-        for s in cert.signers:
-            share = signer_pool * s.weight / signer_weight
+        for s, weight in zip(cert.signers, weights):
+            share = signer_pool * weight / signer_weight
             rewards[s.signer_id] = rewards.get(s.signer_id, 0.0) + share
             distributed += share
     creator = block.creator_miner_id

@@ -369,11 +369,7 @@ class Simulation:
 
     def _pin_keyblock(self, group: ConsensusGroup, miner_id: str, block: KeyBlock) -> bool:
         digest = keyblock_hash(block, self.group_params)
-        votes = [
-            (m.miner_id, sign(digest, self.institutions[m.miner_id].keypair))
-            for m in group.members
-        ]
-        outcome = pin(digest, votes, group)
+        outcome = pin(digest, self._batch_votes(group, [digest], lambda _: [True]), group)
         if isinstance(outcome, InsufficientQuorum):
             return False
         if self.chain.tip_height >= block.height:
@@ -382,9 +378,9 @@ class Simulation:
                 f"second certificate at height {block.height}: pinned history forked"
             )
         pinned = dataclasses.replace(block, pin_cert=outcome)
-        self.chain.add_pinned_keyblock(pinned)
+        self.chain.add_pinned_keyblock(pinned, group)
         self.pinned_by[miner_id] += 1
-        for miner, amount in distribute_rewards(pinned, self.fees).items():
+        for miner, amount in distribute_rewards(pinned, self.fees, group).items():
             self.kb_rewards[miner] = self.kb_rewards.get(miner, 0.0) + amount
             self.total_rewards[miner] = self.total_rewards.get(miner, 0.0) + amount
 
@@ -435,7 +431,7 @@ class Simulation:
                     # next interval
                     requeue.setdefault(tx.payload.receiver_id, []).append(tx)
                     continue
-                self._append_pinned(tx, outcome, chunk)
+                self._append_pinned(group, tx, outcome, chunk)
                 pinned_count += 1
         for receiver_id, txs in requeue.items():
             self.scheduler.queues[receiver_id].extendleft(reversed(txs))
@@ -466,22 +462,31 @@ class Simulation:
         return valid, pos
 
     def _vote_on_segment(self, group: ConsensusGroup, txs: list[Transaction]):
-        """Each member signs the segment's Merkle root and its accept bitmap
-        once; the tally gives each transaction's certificate or shortfall."""
+        """The tally of the segment: each transaction's certificate or
+        shortfall."""
+        adversary = self.adversary
+
+        def accepts(miner_id: str) -> list[bool]:
+            return [miner_id != adversary.miner_id or adversary.votes_for_tx(tx) for tx in txs]
+
         tx_ids = [tx.tx_id for tx in txs]
-        root = merkle_root(tx_ids)
+        return pin_batch(tx_ids, self._batch_votes(group, tx_ids, accepts), group).outcomes
+
+    def _batch_votes(self, group: ConsensusGroup, subjects: list[bytes], accepts):
+        """Each member signs the batch's Merkle root and its accept bitmap,
+        ``accepts(miner_id)``, once."""
+        root = merkle_root(subjects)
         votes = []
         for m in group.members:
-            bitmap = accept_bitmap([
-                m.miner_id != self.adversary.miner_id or self.adversary.votes_for_tx(tx)
-                for tx in txs
-            ])
+            bitmap = accept_bitmap(accepts(m.miner_id))
             message = batch_vote_message(group.epoch, root, bitmap)
             keypair = self.institutions[m.miner_id].keypair
             votes.append((m.miner_id, bitmap, sign(message, keypair)))
-        return pin_batch(tx_ids, votes, group).outcomes
+        return votes
 
-    def _append_pinned(self, tx: Transaction, cert: TxCertificate, chunk: int) -> None:
+    def _append_pinned(
+        self, group: ConsensusGroup, tx: Transaction, cert: TxCertificate, chunk: int
+    ) -> None:
         patient_id = self.chain.patient_id_for(tx.sender_pk)
         receiver = tx.payload.receiver_id
         inst = self.institutions[receiver]
@@ -499,14 +504,14 @@ class Simulation:
             self.chain.replace_microblock(
                 dataclasses.replace(current, institution_root=new_root)
             )
-        self.chain.append_to_microblock(patient_id, tx, cert)
+        self.chain.append_to_microblock(patient_id, tx, cert, group)
         self.total_medical_txs += 1
         counts = self.tml_counts.setdefault(receiver, {})
         counts[chunk] = counts.get(chunk, 0) + 1
 
         microblock = self.chain.microblocks[patient_id]
         for miner, amount in distribute_rewards(
-            microblock, self.fees, pin_cert=cert, batch_txs=[tx]
+            microblock, self.fees, group, pin_cert=cert, batch_txs=[tx]
         ).items():
             self.total_rewards[miner] = self.total_rewards.get(miner, 0.0) + amount
 

@@ -7,8 +7,6 @@ is canonical: structurally equal values always produce identical bytes.
 
 from __future__ import annotations
 
-import struct
-
 
 class DecodeError(ValueError):
     """Canonical decoding failed. ``offset`` is the byte position."""
@@ -32,10 +30,6 @@ def u64(value: int) -> bytes:
 
 def u256(value: int) -> bytes:
     return value.to_bytes(32, "big")
-
-
-def f64(value: float) -> bytes:
-    return struct.pack(">d", value)
 
 
 def var_bytes(data: bytes) -> bytes:
@@ -71,9 +65,6 @@ class Reader:
 
     def u256(self) -> int:
         return int.from_bytes(self.take(32), "big")
-
-    def f64(self) -> float:
-        return struct.unpack(">d", self.take(8))[0]
 
     def var_bytes(self) -> bytes:
         n = self.u32()

@@ -3,17 +3,9 @@ import random
 import pytest
 
 from spchain import wire
-from spchain.blocks import (
-    BatchVote,
-    MicroBlock,
-    PinCertificate,
-    TxCertificate,
-    accept_bitmap,
-    batch_vote_message,
-    merkle_root,
-)
+from spchain.blocks import MicroBlock, TxCertificate, batch_vote_message, merkle_root
 from spchain.chameleon import encode_digest
-from spchain.consensus import ConsensusGroup, GroupMember, pin, pin_batch
+from spchain.consensus import ConsensusGroup, GroupMember, pin
 from spchain.group import BilinearGroup, default_group
 from spchain.signing import keypair_from_seed, sign
 from spchain.tx import encode_tx
@@ -34,57 +26,41 @@ def rng():
     return random.Random(1234)
 
 
+def signed_members(weights, seed=b"cons"):
+    """A group of members m0, m1, ... with the given weights and real
+    signing keys, and the keys by member id."""
+    keypairs = {f"m{i}": keypair_from_seed(b"%s/%d" % (seed, i)) for i in range(len(weights))}
+    members = tuple(
+        GroupMember(miner_id=f"m{i}", weight=w, public_key=keypairs[f"m{i}"].public_key)
+        for i, w in enumerate(weights)
+    )
+    return ConsensusGroup(members=members, epoch=0), keypairs
+
+
 @pytest.fixture(scope="session")
 def trio():
-    """A 3-member consensus group with signing keys, for manual pinning."""
-    keypairs = {}
-    members = []
-    for i in range(3):
-        kp = keypair_from_seed(b"trio/%d" % i)
-        miner_id = f"m{i}"
-        keypairs[miner_id] = kp
-        members.append(GroupMember(miner_id=miner_id, weight=1.0, public_key=kp.public_key))
-    return ConsensusGroup(members=tuple(members), epoch=0), keypairs
+    """A 3-member, equal-weight consensus group with signing keys, for
+    manual pinning."""
+    return signed_members((1.0, 1.0, 1.0), seed=b"trio")
 
 
-def pin_subject(subject: bytes, consensus_group, keypairs) -> PinCertificate:
-    votes = [
-        (m.miner_id, sign(subject, keypairs[m.miner_id]))
+def subject_votes(subject: bytes, consensus_group, keypairs) -> dict:
+    """Each member's accepting vote on the one-entry batch ``[subject]``,
+    by member id."""
+    message = batch_vote_message(consensus_group.epoch, merkle_root([subject]), b"\x01")
+    return {
+        m.miner_id: (m.miner_id, b"\x01", sign(message, keypairs[m.miner_id]))
         for m in consensus_group.members
-    ]
-    outcome = pin(subject, votes, consensus_group)
-    assert isinstance(outcome, PinCertificate)
-    return outcome
+    }
 
 
-def pin_tx(tx_id: bytes, consensus_group, keypairs) -> TxCertificate:
-    """Pin ``tx_id`` as a one-transaction batch, every member signing."""
-    root, bitmap = merkle_root([tx_id]), accept_bitmap([True])
-    message = batch_vote_message(consensus_group.epoch, root, bitmap)
-    votes = [
-        (m.miner_id, bitmap, sign(message, keypairs[m.miner_id]))
-        for m in consensus_group.members
-    ]
-    (outcome,) = pin_batch([tx_id], votes, consensus_group).outcomes
+def pin_subject(subject: bytes, consensus_group, keypairs) -> TxCertificate:
+    """Pin a keyblock hash or a transaction id as a one-entry batch, every
+    member signing."""
+    votes = subject_votes(subject, consensus_group, keypairs)
+    outcome = pin(subject, list(votes.values()), consensus_group)
     assert isinstance(outcome, TxCertificate)
     return outcome
-
-
-def tx_cert(tx_id: bytes, weights=(1.0, 1.0, 1.0)) -> TxCertificate:
-    """A quorum certificate for ``tx_id`` alone in its batch, every member
-    accepting. The signatures are placeholders: ``append_pinned_tx`` and
-    ``distribute_rewards`` do not verify them."""
-    return TxCertificate(
-        batch_root=merkle_root([tx_id]),
-        index=0,
-        path=(),
-        signers=tuple(
-            BatchVote(f"m{i}", w, accept_bitmap([True]), b"s%d" % i)
-            for i, w in enumerate(weights)
-        ),
-        group_size=len(weights),
-        group_total_weight=sum(weights),
-    )
 
 
 def fresh_microblock_encoding(block: MicroBlock, group) -> bytes:

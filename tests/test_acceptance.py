@@ -26,7 +26,7 @@ from spchain.bench import bench_throughput
 from spchain.blocks import (
     GENESIS_MICROBLOCK_HASH,
     MicroBlock,
-    PinCertificate,
+    TxCertificate,
     institution_root,
     keyblock_hash,
 )
@@ -48,7 +48,7 @@ from spchain.scheduler import SchedulerState, schedule_batch
 from spchain.sim import run_scenario
 from spchain.simconfig import ScenarioConfig
 
-from tests.conftest import pin_subject, pin_tx
+from tests.conftest import pin_subject
 from tests.test_consensus import signed_group
 from tests.test_reputation import A, LAM, oracle_r2
 
@@ -135,8 +135,8 @@ def test_criterion_3_pinning_safety_exhaustive():
             group, signed = signed_group(weights, subject)
 
             def reaches_quorum(subset):
-                votes = [(f"m{i}", signed[f"m{i}"]) for i in subset]
-                return isinstance(pin(subject, votes, group), PinCertificate)
+                votes = [signed[f"m{i}"] for i in subset]
+                return isinstance(pin(subject, votes, group), TxCertificate)
 
             all_subsets = [
                 frozenset(s)
@@ -324,7 +324,7 @@ def _workflow_chain(chain_length: int, group, trio):
     for _ in range(chain_length):
         block = mine_keyblock(chain.view(), (), miner.keypair, target, 4, rng).block
         cert = pin_subject(keyblock_hash(block, group), consensus_group, keypairs)
-        chain.add_pinned_keyblock(dataclasses.replace(block, pin_cert=cert))
+        chain.add_pinned_keyblock(dataclasses.replace(block, pin_cert=cert), consensus_group)
 
     alice = setup_patient(b"wf-alice")
     reg = register(alice, hospital, b"alice-identity", group, fee=2)
@@ -349,14 +349,14 @@ def _workflow_chain(chain_length: int, group, trio):
         record = EmrRecord(b"visit-%d" % i, hospital.address, alice.address, 1)
         tx = upload(alice, hospital, record, chain, fee=1)
         assert chain.validate_tx(tx) == (True, "OK")
-        cert = pin_tx(tx.tx_id, consensus_group, keypairs)
-        chain.append_to_microblock(alice.address, tx, cert)
+        cert = pin_subject(tx.tx_id, consensus_group, keypairs)
+        chain.append_to_microblock(alice.address, tx, cert, consensus_group)
         records.append((record, tx))
 
     fix = EmrRecord(b"visit-2-corrected", hospital.address, alice.address, 1)
     label_tx = label(alice, hospital, records[2][1].tx_id, fix, chain, fee=1)
-    cert = pin_tx(label_tx.tx_id, consensus_group, keypairs)
-    chain.append_to_microblock(alice.address, label_tx, cert)
+    cert = pin_subject(label_tx.tx_id, consensus_group, keypairs)
+    chain.append_to_microblock(alice.address, label_tx, cert, consensus_group)
 
     shared = share(alice, hospital, specialist, [records[0][1].tx_id], chain)
     assert shared == [b"visit-0"]

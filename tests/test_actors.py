@@ -18,7 +18,9 @@ from spchain.blocks import GENESIS_MICROBLOCK_HASH, MicroBlock, institution_root
 from spchain.chain import ChainState
 from spchain.envelope import unseal_layer
 from spchain.tx import TxType
-from tests.conftest import tx_cert
+from tests.conftest import pin_subject, signed_members
+
+PINNERS = signed_members((1.0, 1.0, 1.0))
 
 
 @pytest.fixture
@@ -49,7 +51,8 @@ def clinic(group):
 
 
 def pin_upload(chain, patient, tx):
-    chain.append_to_microblock(patient.address, tx, tx_cert(tx.tx_id))
+    cert = pin_subject(tx.tx_id, *PINNERS)
+    chain.append_to_microblock(patient.address, tx, cert, PINNERS[0])
 
 
 def test_setup_roles_and_determinism(group):

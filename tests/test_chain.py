@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -7,30 +8,16 @@ from spchain import chain as chain_mod
 from spchain.actors import EmrRecord, register, setup_institution, setup_patient, upload
 from spchain.blocks import (
     GENESIS_MICROBLOCK_HASH,
-    KeyBlock,
+    BatchVote,
     MicroBlock,
-    PinCertificate,
-    PinSignature,
     institution_root,
     keyblock_hash,
 )
 from spchain.chain import ChainState
+from spchain.mining import check_puzzle, mine_keyblock
 from spchain.signing import keypair_from_seed, sign
 from spchain.tx import TxType, build_tx
-from tests.conftest import tx_cert
-
-
-def quorum_cert(subject: bytes) -> PinCertificate:
-    return PinCertificate(
-        subject_hash=subject,
-        signers=(
-            PinSignature("m0", 1.0, b"s0"),
-            PinSignature("m1", 1.0, b"s1"),
-            PinSignature("m2", 1.0, b"s2"),
-        ),
-        group_size=3,
-        group_total_weight=3.0,
-    )
+from tests.conftest import pin_subject, signed_members
 
 
 @pytest.fixture
@@ -63,41 +50,141 @@ def registered(world, group):
 
 
 def make_keyblock(chain, group, height=None, prev=None):
-    return KeyBlock(
-        prev_keyblock_hash=chain.tip_hash if prev is None else prev,
-        penu_microblock_hash=chain.penu_microblock_hash_for(chain.tip_height + 1),
-        nonce=7,
-        miner_public_key=keypair_from_seed(b"miner").public_key,
-        register_txs=(),
-        target=1 << 255,
-        height=chain.tip_height + 1 if height is None else height,
+    """A keyblock mined on the chain's view, or on the view moved to
+    ``height`` and ``prev``."""
+    view = chain.view()
+    view = dataclasses.replace(
+        view,
+        tip_height=view.tip_height if height is None else height - 1,
+        tip_hash=view.tip_hash if prev is None else prev,
     )
+    miner = keypair_from_seed(b"miner")
+    return mine_keyblock(view, (), miner, 1 << 255, 64, random.Random(7)).block
+
+
+def pinned(block, group, pinners):
+    return dataclasses.replace(block, pin_cert=pin_subject(keyblock_hash(block, group), *pinners))
 
 
 # -- keyblock growth -----------------------------------------------------------
 
 
-def test_add_pinned_keyblock_extends_tip(world, group):
+def test_add_pinned_keyblock_extends_tip(world, group, trio):
     chain, _, _ = world
     block = make_keyblock(chain, group)
     digest = keyblock_hash(block, group)
-    chain.add_pinned_keyblock(dataclasses.replace(block, pin_cert=quorum_cert(digest)))
+    chain.add_pinned_keyblock(pinned(block, group, trio), trio[0])
     assert chain.tip_height == 1
     assert chain.tip_hash == digest
 
 
-def test_add_rejects_unpinned_and_mismatched(world, group):
+def test_add_rejects_unpinned_and_mismatched(world, group, trio):
     chain, _, _ = world
     block = make_keyblock(chain, group)
     with pytest.raises(ValueError, match="not pinned"):
-        chain.add_pinned_keyblock(block)
-    wrong_subject = dataclasses.replace(block, pin_cert=quorum_cert(b"\x00" * 32))
-    with pytest.raises(ValueError, match="different keyblock"):
-        chain.add_pinned_keyblock(wrong_subject)
-    stale = make_keyblock(chain, group, height=5)
-    stale = dataclasses.replace(stale, pin_cert=quorum_cert(keyblock_hash(stale, group)))
+        chain.add_pinned_keyblock(block, trio[0])
+    wrong_subject = dataclasses.replace(block, pin_cert=pin_subject(b"\x00" * 32, *trio))
+    with pytest.raises(ValueError, match="does not reach the batch root"):
+        chain.add_pinned_keyblock(wrong_subject, trio[0])
+    stale = pinned(make_keyblock(chain, group, height=5), group, trio)
     with pytest.raises(ValueError, match="does not extend"):
-        chain.add_pinned_keyblock(stale)
+        chain.add_pinned_keyblock(stale, trio[0])
+
+
+# -- tamper table: the chain checks each certificate against its group -------------
+
+# m0 outweighs m1 and m2 together, so a certificate without m0 meets the
+# count rule and misses the weight rule
+HEAVY = signed_members((5.0, 1.0, 1.0), seed=b"heavy")
+
+CERTIFICATE_ROWS = {
+    "signer not in the group": "not a group member",
+    "member listed twice": "listed twice",
+    "misses quorum by the group's weights": "below quorum",
+    "path does not reach the root": "does not reach the batch root",
+    "counted signer's bit unset": "did not accept",
+}
+
+KEYBLOCK_ROWS = {
+    "certificate over another keyblock": "does not reach the batch root",
+    "nonce does not solve": "does not solve its puzzle",
+    "wrong penu": "wrong penultimate microblock",
+}
+
+
+def tampered(row, cert):
+    """``cert`` spoiled as the certificate row ``row`` says; unchanged for
+    the keyblock rows."""
+    signers = cert.signers
+    if row == "signer not in the group":
+        return dataclasses.replace(
+            cert, signers=signers + (BatchVote("nobody", signers[0].bitmap, b"sig"),)
+        )
+    if row == "member listed twice":
+        return dataclasses.replace(cert, signers=signers + signers[:1])
+    if row == "misses quorum by the group's weights":
+        return dataclasses.replace(cert, signers=signers[1:])
+    if row == "path does not reach the root":
+        return dataclasses.replace(cert, batch_root=hashlib.sha256(b"elsewhere").digest())
+    if row == "counted signer's bit unset":
+        unset = dataclasses.replace(signers[0], bitmap=b"\x00")
+        return dataclasses.replace(cert, signers=(unset,) + signers[1:])
+    return cert
+
+
+def with_nonce(block, solves: bool):
+    """``block`` with the first nonce that does (or does not) solve it."""
+    return next(
+        candidate
+        for nonce in range(64)
+        if check_puzzle(candidate := dataclasses.replace(block, nonce=nonce)) == solves
+    )
+
+
+@pytest.mark.parametrize("row", list(CERTIFICATE_ROWS) + list(KEYBLOCK_ROWS))
+def test_chain_rejects_tampered_keyblock(world, group, row):
+    chain, _, _ = world
+    block = make_keyblock(chain, group)
+    subject = keyblock_hash(block, group)
+    if row == "certificate over another keyblock":
+        subject = keyblock_hash(make_keyblock(chain, group, prev=b"\x01" * 32), group)
+    elif row == "nonce does not solve":
+        block = with_nonce(block, solves=False)
+        subject = keyblock_hash(block, group)
+    elif row == "wrong penu":
+        block = with_nonce(dataclasses.replace(block, penu_microblock_hash=b"\x00" * 32), True)
+        subject = keyblock_hash(block, group)
+    cert = tampered(row, pin_subject(subject, *HEAVY))
+    reason = CERTIFICATE_ROWS.get(row) or KEYBLOCK_ROWS[row]
+    with pytest.raises(ValueError, match=reason):
+        chain.add_pinned_keyblock(dataclasses.replace(block, pin_cert=cert), HEAVY[0])
+    assert chain.tip_height == 0
+
+
+@pytest.mark.parametrize("row", list(CERTIFICATE_ROWS))
+def test_chain_rejects_tampered_tx_certificate(world, group, row):
+    chain, institution, patient = registered(world, group)
+    tx = medical_tx(chain, institution, patient, group)
+    cert = pin_subject(tx.tx_id, *HEAVY)
+    with pytest.raises(ValueError, match=CERTIFICATE_ROWS[row]):
+        chain.append_to_microblock(patient.address, tx, tampered(row, cert), HEAVY[0])
+    assert chain.microblocks[patient.address].txs == ()
+    chain.append_to_microblock(patient.address, tx, cert, HEAVY[0])
+    assert chain.microblocks[patient.address].txs == (tx,)
+
+
+def test_forged_keyblock_is_rejected(world, group):
+    """The forgery an earlier chain accepted at height 1: one signer from
+    outside the group, a target no nonce meets and a zeroed penu."""
+    chain, _, _ = world
+    block = dataclasses.replace(
+        make_keyblock(chain, group), target=1, penu_microblock_hash=b"\x00" * 32
+    )
+    cert = tampered("signer not in the group", pin_subject(keyblock_hash(block, group), *HEAVY))
+    forged = dataclasses.replace(cert, signers=cert.signers[-1:])
+    with pytest.raises(ValueError, match="not a group member"):
+        chain.add_pinned_keyblock(dataclasses.replace(block, pin_cert=forged), HEAVY[0])
+    assert chain.tip_height == 0
 
 
 def test_penu_microblock_hash_rules(world, group):
@@ -236,10 +323,10 @@ def test_one_microblock_per_patient(world, group):
         chain.create_microblock(existing)
 
 
-def test_append_and_lookup_counts_accesses(world, group):
+def test_append_and_lookup_counts_accesses(world, group, trio):
     chain, institution, patient = registered(world, group)
     tx = medical_tx(chain, institution, patient, group)
-    chain.append_to_microblock(patient.address, tx, tx_cert(tx.tx_id))
+    chain.append_to_microblock(patient.address, tx, pin_subject(tx.tx_id, *trio), trio[0])
     before = chain.store_accesses
     found = chain.find_patient_tx(patient.address, tx.tx_id)
     assert found == tx

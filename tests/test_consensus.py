@@ -4,49 +4,44 @@ import random
 
 import pytest
 
-from spchain.blocks import (
-    PinCertificate,
-    TxCertificate,
-    accept_bitmap,
-    batch_vote_message,
-    certificate_meets_quorum,
-    merkle_root,
-)
+from spchain.blocks import TxCertificate, accept_bitmap, batch_vote_message, merkle_root
 from spchain.consensus import (
-    ConsensusGroup,
-    GroupMember,
     InsufficientQuorum,
+    check_certificate,
     pin,
     pin_batch,
     select_group,
 )
 from spchain.signing import keypair_from_seed, sign
 
+from tests.conftest import signed_members, subject_votes
+
+KEYS = {mid: keypair_from_seed(mid.encode()).public_key for mid in "abcdmz"}
+
 
 def test_select_group_picks_top_by_reputation():
     reps = {"a": 0.2, "b": 0.9, "c": 0.5, "d": 0.7}
-    group = select_group(reps, 2)
+    group = select_group(reps, 2, KEYS)
     assert [m.miner_id for m in group.members] == ["b", "d"]
     assert [m.weight for m in group.members] == [0.9, 0.7]
 
 
 def test_select_group_breaks_ties_by_id():
     reps = {"z": 0.5, "a": 0.5, "m": 0.5}
-    group = select_group(reps, 2)
+    group = select_group(reps, 2, KEYS)
     assert [m.miner_id for m in group.members] == ["a", "m"]
 
 
 def test_select_group_needs_enough_miners():
     with pytest.raises(ValueError, match="at least 3"):
-        select_group({"a": 0.1, "b": 0.2}, 3)
+        select_group({"a": 0.1, "b": 0.2}, 3, KEYS)
     with pytest.raises(ValueError):
-        select_group({"a": 0.1}, 0)
+        select_group({"a": 0.1}, 0, KEYS)
 
 
 def test_select_group_attaches_public_keys():
-    pk = keypair_from_seed(b"a").public_key
-    group = select_group({"a": 1.0}, 1, public_keys={"a": pk}, epoch=7)
-    assert group.members[0].public_key == pk
+    group = select_group({"a": 1.0}, 1, public_keys=KEYS, epoch=7)
+    assert group.members[0].public_key == KEYS["a"]
     assert group.epoch == 7
 
 
@@ -54,29 +49,24 @@ def test_select_group_attaches_public_keys():
 
 
 def signed_trio():
-    keypairs = {f"m{i}": keypair_from_seed(b"cons/%d" % i) for i in range(3)}
-    members = tuple(
-        GroupMember(miner_id=mid, weight=1.0, public_key=kp.public_key)
-        for mid, kp in sorted(keypairs.items())
-    )
-    return ConsensusGroup(members=members, epoch=0), keypairs
+    return signed_members((1.0, 1.0, 1.0))
 
 
 def test_pin_full_vote_produces_certificate():
     group, keypairs = signed_trio()
     subject = b"\x11" * 32
-    votes = [(mid, sign(subject, kp)) for mid, kp in keypairs.items()]
-    cert = pin(subject, votes, group)
-    assert isinstance(cert, PinCertificate)
-    assert certificate_meets_quorum(cert)
+    votes = subject_votes(subject, group, keypairs)
+    cert = pin(subject, list(votes.values()), group)
+    assert isinstance(cert, TxCertificate)
+    check_certificate(subject, cert, group)
     assert [s.signer_id for s in cert.signers] == ["m0", "m1", "m2"]
 
 
 def test_pin_two_of_three_equal_weights_fails_weight_rule():
     group, keypairs = signed_trio()
     subject = b"\x12" * 32
-    votes = [(mid, sign(subject, keypairs[mid])) for mid in ("m0", "m1")]
-    outcome = pin(subject, votes, group)
+    votes = subject_votes(subject, group, keypairs)
+    outcome = pin(subject, [votes[mid] for mid in ("m0", "m1")], group)
     assert isinstance(outcome, InsufficientQuorum)
     assert outcome.vote_count == 2
     assert outcome.required_count == 2  # count rule was satisfied
@@ -86,18 +76,18 @@ def test_pin_two_of_three_equal_weights_fails_weight_rule():
 def test_pin_ignores_outsiders_duplicates_and_bad_signatures():
     group, keypairs = signed_trio()
     subject = b"\x13" * 32
-    stranger = keypair_from_seed(b"stranger")
-    votes = [
-        ("m0", sign(subject, keypairs["m0"])),
-        ("m0", sign(subject, keypairs["m0"])),  # duplicate counts once
-        ("m1", sign(b"other subject", keypairs["m1"])),  # bad signature
-        ("intruder", sign(subject, stranger)),  # not a member
-        ("m2", sign(subject, keypairs["m2"])),
-    ]
-    outcome = pin(subject, votes, group)
+    votes = subject_votes(subject, group, keypairs)
+    message = batch_vote_message(0, merkle_root([subject]), b"\x01")
+    outcome = pin(subject, [
+        votes["m0"],
+        votes["m0"],  # a repeated vote counts for nothing, as in pin_batch
+        subject_votes(b"other subject", group, keypairs)["m1"],  # bad signature
+        ("intruder", b"\x01", sign(message, keypair_from_seed(b"stranger"))),  # not a member
+        votes["m2"],
+    ], group)
     assert isinstance(outcome, InsufficientQuorum)
-    assert outcome.vote_count == 2
-    assert set(outcome.ignored) == {"m1", "intruder"}
+    assert outcome.vote_count == 1
+    assert sorted(outcome.ignored) == ["intruder", "m0", "m0", "m1"]
 
 
 # -- batch votes ---------------------------------------------------------------
@@ -120,7 +110,7 @@ def test_pin_batch_full_vote_certifies_every_tx():
         assert isinstance(cert, TxCertificate)
         assert cert.index == index and cert.batch_root == merkle_root(BATCH)
         assert [s.signer_id for s in cert.signers] == ["m0", "m1", "m2"]
-        assert certificate_meets_quorum(cert)
+        check_certificate(BATCH[index], cert, group)
 
 
 def bad_votes(kind, keypairs):
@@ -185,24 +175,20 @@ def test_pin_batch_inhibitor_sinks_only_the_victims_txs():
 
 
 def signed_group(weights, subject):
-    """A group with one real keypair per member, and each member's vote."""
-    keypairs = [keypair_from_seed(b"cons/%d" % i) for i in range(len(weights))]
-    members = tuple(
-        GroupMember(f"m{i}", w, kp.public_key)
-        for i, (w, kp) in enumerate(zip(weights, keypairs))
-    )
-    votes = {f"m{i}": sign(subject, kp) for i, kp in enumerate(keypairs)}
-    return ConsensusGroup(members=members, epoch=0), votes
+    """A group with one real keypair per member, and each member's vote on
+    the one-entry batch ``[subject]``."""
+    group, keypairs = signed_members(weights)
+    return group, subject_votes(subject, group, keypairs)
 
 
 def test_pin_weighted_example():
     subject = b"\x14" * 32
     group, votes = signed_group((5.0, 1.0, 0.5), subject)
     # m0+m1: count 2 >= 2 and weight 6.0 > 2/3 * 6.5
-    cert = pin(subject, [(m, votes[m]) for m in ("m0", "m1")], group)
-    assert isinstance(cert, PinCertificate)
+    cert = pin(subject, [votes[m] for m in ("m0", "m1")], group)
+    assert isinstance(cert, TxCertificate)
     # m1+m2: count ok but weight 1.5 is far below the bar
-    outcome = pin(subject, [(m, votes[m]) for m in ("m1", "m2")], group)
+    outcome = pin(subject, [votes[m] for m in ("m1", "m2")], group)
     assert isinstance(outcome, InsufficientQuorum)
 
 
@@ -224,8 +210,8 @@ def test_exhaustive_safety_small_groups():
             ids = list(range(x))
 
             def reaches_quorum(subset):
-                votes = [(f"m{i}", signed[f"m{i}"]) for i in subset]
-                return isinstance(pin(subject, votes, group), PinCertificate)
+                votes = [signed[f"m{i}"] for i in subset]
+                return isinstance(pin(subject, votes, group), TxCertificate)
 
             quorums = [
                 frozenset(s)

@@ -44,11 +44,6 @@ def test_invalid_utf8_reports_offset():
     assert err.value.offset == 4
 
 
-def test_f64_roundtrip():
-    for value in (0.0, 1.5, -2.25, 1e300):
-        assert Reader(wire.f64(value)).f64() == value
-
-
 # -- group -------------------------------------------------------------------
 
 

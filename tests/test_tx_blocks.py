@@ -8,30 +8,31 @@ from hypothesis import given, settings, strategies as st
 from spchain.blocks import (
     GENESIS_KEYBLOCK_HASH,
     GENESIS_MICROBLOCK_HASH,
+    BatchVote,
     KeyBlock,
     MicroBlock,
-    PinCertificate,
-    PinSignature,
-    BatchVote,
+    TxCertificate,
     accept_bitmap,
     append_pinned_tx,
     batch_vote_message,
-    certificate_meets_quorum,
     decode_block,
-    decode_pin_certificate,
     encode_block,
-    encode_pin_certificate,
     institution_root,
     keyblock_hash,
     merkle_path_verifies,
     merkle_paths,
     merkle_root,
     microblock_hash,
-    required_vote_count,
     update_institution_root,
 )
 from spchain.chameleon import ch_hash, ch_keygen, ch_verify, message_scalar
-from spchain.consensus import pin_batch
+from spchain.consensus import (
+    check_certificate,
+    check_signers,
+    pin_batch,
+    required_vote_count,
+)
+from spchain.group import default_group
 from spchain.signing import keypair_from_seed, sign
 from spchain.tx import (
     LabelPayload,
@@ -44,7 +45,7 @@ from spchain.tx import (
 )
 from spchain import wire
 from spchain.wire import DecodeError, Reader
-from tests.conftest import fresh_microblock_encoding, tx_cert
+from tests.conftest import fresh_microblock_encoding, pin_subject, signed_members
 
 
 def make_keys(seed: int, group):
@@ -162,84 +163,58 @@ def test_required_vote_count():
     assert [required_vote_count(x) for x in range(1, 8)] == [1, 2, 2, 3, 4, 4, 5]
 
 
-def test_quorum_needs_count_and_weight():
-    def cert(signers, size, total):
-        return PinCertificate(
-            subject_hash=b"\x01" * 32, signers=tuple(signers), group_size=size,
-            group_total_weight=total,
-        )
+def test_quorum_needs_count_and_weight(trio):
+    """Count and weight are the signing group's, never the certificate's."""
+    cert = pin_subject(b"\x01" * 32, *trio)
 
-    s = lambda i, w: PinSignature(signer_id=f"m{i}", weight=w, signature=b"sig")
+    def meets(signers, weights):
+        counted = dataclasses.replace(cert, signers=tuple(cert.signers[i] for i in signers))
+        try:
+            check_signers(counted, signed_members(weights)[0])
+        except ValueError:
+            return False
+        return True
+
     # 2-of-3 equal weights: count ok, weight exactly 2/3 is NOT enough
-    assert not certificate_meets_quorum(cert([s(0, 1.0), s(1, 1.0)], 3, 3.0))
+    assert not meets((0, 1), (1.0, 1.0, 1.0))
     # 3-of-3 passes
-    assert certificate_meets_quorum(cert([s(0, 1.0), s(1, 1.0), s(2, 1.0)], 3, 3.0))
+    assert meets((0, 1, 2), (1.0, 1.0, 1.0))
     # 2-of-3 with dominant weight passes
-    assert certificate_meets_quorum(cert([s(0, 5.0), s(1, 1.0)], 3, 6.5))
+    assert meets((0, 1), (5.0, 1.0, 0.5))
     # heavy single vote fails the count requirement
-    assert not certificate_meets_quorum(cert([s(0, 6.0)], 3, 6.5))
+    assert not meets((0,), (6.0, 0.25, 0.25))
 
 
-def test_repeated_signer_never_meets_quorum(group):
-    """One member listed three times is one vote of three, for both
-    certificate types."""
-    honest = tx_cert(b"\x01" * 32)
-    assert certificate_meets_quorum(honest)
+def test_repeated_signer_never_meets_quorum(trio):
+    """One member listed three times is one vote of three, for keyblock and
+    transaction certificates alike: both are checked by one function."""
+    consensus_group, keypairs = trio
+    subject = b"\x01" * 32
+    honest = pin_subject(subject, consensus_group, keypairs)
+    check_certificate(subject, honest, consensus_group)
     tripled = dataclasses.replace(honest, signers=honest.signers[:1] * 3)
-    assert not certificate_meets_quorum(tripled)
-    once = PinSignature(signer_id="m0", weight=1.0, signature=b"sig")
-    pin_cert = PinCertificate(
-        subject_hash=b"\x01" * 32, signers=(once,) * 3, group_size=3,
-        group_total_weight=3.0,
-    )
-    assert not certificate_meets_quorum(pin_cert)
-
-    keys = make_keys(12, group)
-    med = make_medical_tx(group, keys)
-    tripled = dataclasses.replace(tx_cert(med.tx_id), signers=honest.signers[:1] * 3)
-    with pytest.raises(ValueError, match="below quorum"):
-        append_pinned_tx(make_microblock(group, keys), med, tripled)
-
-
-def test_pin_certificate_roundtrip():
-    cert = PinCertificate(
-        subject_hash=b"\x02" * 32,
-        signers=(
-            PinSignature(signer_id="m0", weight=0.5, signature=b"aaa"),
-            PinSignature(signer_id="m1", weight=0.25, signature=b"bbb"),
-        ),
-        group_size=3,
-        group_total_weight=1.0,
-    )
-    reader = Reader(encode_pin_certificate(cert))
-    assert decode_pin_certificate(reader) == cert
-    reader.expect_end()
+    with pytest.raises(ValueError, match="listed twice"):
+        check_certificate(subject, tripled, consensus_group)
 
 
 # -- blocks --------------------------------------------------------------------
 
 
-def make_keyblock(group, with_cert=False):
-    reg = make_register_tx(group)
-    cert = None
-    if with_cert:
-        cert = PinCertificate(
-            subject_hash=b"\x03" * 32,
-            signers=(PinSignature("m0", 1.0, b"s0"), PinSignature("m1", 1.0, b"s1"),
-                     PinSignature("m2", 1.0, b"s2")),
-            group_size=3,
-            group_total_weight=3.0,
-        )
-    return KeyBlock(
+def make_keyblock(group, pinners=None):
+    """A one-register keyblock; pinned by ``pinners`` (a group and its
+    keys) when given."""
+    block = KeyBlock(
         prev_keyblock_hash=GENESIS_KEYBLOCK_HASH,
         penu_microblock_hash=GENESIS_MICROBLOCK_HASH,
         nonce=123456,
         miner_public_key=keypair_from_seed(b"miner").public_key,
-        register_txs=(reg,),
+        register_txs=(make_register_tx(group),),
         target=1 << 250,
         height=1,
-        pin_cert=cert,
     )
+    if pinners is None:
+        return block
+    return dataclasses.replace(block, pin_cert=pin_subject(keyblock_hash(block, group), *pinners))
 
 
 def make_microblock(group, keys, txs=()):
@@ -254,9 +229,9 @@ def make_microblock(group, keys, txs=()):
     )
 
 
-def test_keyblock_roundtrip_with_and_without_cert(group):
-    for with_cert in (False, True):
-        block = make_keyblock(group, with_cert)
+def test_keyblock_roundtrip_with_and_without_cert(group, trio):
+    for pinners in (None, trio):
+        block = make_keyblock(group, pinners)
         assert decode_block(encode_block(block, group), group) == block
 
 
@@ -273,9 +248,9 @@ def test_microblock_roundtrip(group):
     assert microblock_hash(decoded, group) == expected
 
 
-def test_keyblock_hash_ignores_certificate(group):
-    bare = make_keyblock(group, with_cert=False)
-    pinned = make_keyblock(group, with_cert=True)
+def test_keyblock_hash_ignores_certificate(group, trio):
+    bare = make_keyblock(group)
+    pinned = make_keyblock(group, trio)
     assert keyblock_hash(bare, group) == keyblock_hash(pinned, group)
     # but any content change shifts the hash
     moved = dataclasses.replace(bare, nonce=bare.nonce + 1)
@@ -327,20 +302,23 @@ def test_institution_root_redaction_keeps_h(group):
 # -- microblock append rules ------------------------------------------------------
 
 
-def test_append_requires_matching_quorum_cert(group):
+def test_append_requires_matching_quorum_cert(group, trio):
+    consensus_group, keypairs = trio
     keys = make_keys(9, group)
     block = make_microblock(group, keys)
     med = make_medical_tx(group, keys)
-    with pytest.raises(ValueError, match="unpinned"):
-        append_pinned_tx(block, med, None)
-    wrong = dataclasses.replace(tx_cert(med.tx_id), batch_root=b"\x00" * 32)
+    cert = pin_subject(med.tx_id, consensus_group, keypairs)
+    with pytest.raises(ValueError, match="no certificate"):
+        check_certificate(med.tx_id, None, consensus_group)
+    wrong = dataclasses.replace(cert, batch_root=b"\x00" * 32)
     with pytest.raises(ValueError, match="does not reach the batch root"):
-        append_pinned_tx(block, med, wrong)
-    weak = dataclasses.replace(tx_cert(med.tx_id), signers=tx_cert(med.tx_id).signers[:1])
+        check_certificate(med.tx_id, wrong, consensus_group)
+    weak = dataclasses.replace(cert, signers=cert.signers[:1])
     with pytest.raises(ValueError, match="below quorum"):
-        append_pinned_tx(block, med, weak)
+        check_certificate(med.tx_id, weak, consensus_group)
 
-    updated = append_pinned_tx(block, med, tx_cert(med.tx_id))
+    check_certificate(med.tx_id, cert, consensus_group)
+    updated = append_pinned_tx(block, med)
     assert updated.txs == (med,)
     assert block.txs == ()  # original untouched
 
@@ -360,17 +338,16 @@ def test_append_checks_batch_path_and_bitmaps(group, trio):
         message = batch_vote_message(consensus_group.epoch, root, bitmap)
         votes.append((m.miner_id, bitmap, sign(message, keypairs[m.miner_id])))
     outcomes = pin_batch(tx_ids, votes, consensus_group).outcomes
-    block = make_microblock(group, keys)
     cert = outcomes[2]
-    assert append_pinned_tx(block, txs[2], cert).txs == (txs[2],)
+    check_certificate(tx_ids[2], cert, consensus_group)
 
     # a path that does not reach the root: another transaction's
     # certificate, or this one moved to another index
     with pytest.raises(ValueError, match="does not reach the batch root"):
-        append_pinned_tx(block, txs[2], outcomes[1])
+        check_certificate(tx_ids[2], outcomes[1], consensus_group)
     for index in (1, 3, 2 + 8, -1):
         with pytest.raises(ValueError, match="does not reach the batch root"):
-            append_pinned_tx(block, txs[2], dataclasses.replace(cert, index=index))
+            check_certificate(tx_ids[2], dataclasses.replace(cert, index=index), consensus_group)
 
     # a counted signer whose bit is unset: m2's vote on index 3 refused it
     refused = next(s for s in cert.signers if s.signer_id == "m2")
@@ -378,16 +355,19 @@ def test_append_checks_batch_path_and_bitmaps(group, trio):
     forged = dataclasses.replace(outcomes[4], index=3, path=merkle_paths(tx_ids)[1][3])
     assert forged.signers[-1] == refused
     with pytest.raises(ValueError, match="did not accept"):
-        append_pinned_tx(block, txs[3], forged)
-    unset = BatchVote("m3", 1.0, accept_bitmap([False] * 5), b"sig")
+        check_certificate(tx_ids[3], forged, consensus_group)
+    unset = BatchVote("m0", accept_bitmap([False] * 5), cert.signers[0].signature)
     with pytest.raises(ValueError, match="did not accept"):
-        append_pinned_tx(
-            block, txs[2], dataclasses.replace(cert, signers=cert.signers + (unset,))
+        check_certificate(
+            tx_ids[2], dataclasses.replace(cert, signers=(unset,) + cert.signers[1:]),
+            consensus_group,
         )
 
     # below quorum
     with pytest.raises(ValueError, match="below quorum"):
-        append_pinned_tx(block, txs[2], dataclasses.replace(cert, signers=cert.signers[:2]))
+        check_certificate(
+            tx_ids[2], dataclasses.replace(cert, signers=cert.signers[:2]), consensus_group
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -410,4 +390,52 @@ def test_append_rejects_register_tx(group):
     block = make_microblock(group, keys)
     reg = make_register_tx(group)
     with pytest.raises(ValueError, match="medical and label"):
-        append_pinned_tx(block, reg, tx_cert(reg.tx_id))
+        append_pinned_tx(block, reg)
+
+
+# -- certificate codec -----------------------------------------------------------
+
+certificates = st.builds(
+    TxCertificate,
+    batch_root=st.binary(min_size=32, max_size=32),
+    index=st.integers(0, 2**32 - 1),
+    path=st.lists(st.binary(min_size=32, max_size=32), max_size=6).map(tuple),
+    signers=st.lists(
+        st.builds(
+            BatchVote,
+            signer_id=st.text(max_size=12),
+            bitmap=st.binary(max_size=8),
+            signature=st.binary(max_size=64),
+        ),
+        max_size=5,
+    ).map(tuple),
+)
+
+keyblocks = st.builds(
+    KeyBlock,
+    prev_keyblock_hash=st.binary(min_size=32, max_size=32),
+    penu_microblock_hash=st.binary(min_size=32, max_size=32),
+    nonce=st.integers(0, 2**64 - 1),
+    miner_public_key=st.binary(min_size=32, max_size=32),
+    register_txs=st.sampled_from([(), (make_register_tx(default_group()),)]),
+    target=st.integers(0, 2**256 - 1),
+    height=st.integers(0, 2**64 - 1),
+    pin_cert=st.none() | certificates,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(keyblocks)
+def test_keyblock_certificate_roundtrip(block):
+    group = default_group()
+    assert decode_block(encode_block(block, group), group) == block
+
+
+@settings(max_examples=30, deadline=None)
+@given(keyblocks)
+def test_every_truncated_keyblock_encoding_raises_decode_error(block):
+    group = default_group()
+    data = encode_block(block, group)
+    for end in range(len(data)):
+        with pytest.raises(DecodeError):
+            decode_block(data[:end], group)
