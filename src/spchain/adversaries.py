@@ -97,21 +97,17 @@ class FlashMiner(Adversary):
         view = chain.view()
         if not self.attack:
             return view
-        if not view.pinned:
+        if view.tip_height == 0:
             # nothing pinned to contradict yet; hold fire
             return None
         # fork off one block behind the pinned tip: the solved block lands
         # at the tip's height with a different hash, a direct attempt to
         # replace pinned history
-        pinned = view.pinned[:-1]
-        if pinned:
-            tip_height, tip_hash = pinned[-1]
-        else:
-            tip_height, tip_hash = 0, GENESIS_KEYBLOCK_HASH
+        tip_height = view.tip_height - 1
         return ChainView(
-            pinned=pinned,
+            pinned_hashes=view.pinned_hashes,
             tip_height=tip_height,
-            tip_hash=tip_hash,
+            tip_hash=view.pinned_hash_at(tip_height) or GENESIS_KEYBLOCK_HASH,
             penu_microblock_hash=chain.penu_microblock_hash_for(tip_height + 1),
         )
 

@@ -9,7 +9,7 @@ themselves are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .blocks import (
     GENESIS_KEYBLOCK_HASH,
@@ -65,17 +65,21 @@ class PatientInfo:
 
 @dataclass(frozen=True)
 class ChainView:
-    """Immutable snapshot used by miners and fork choice."""
+    """Snapshot used by miners and fork choice.
 
-    pinned: tuple[tuple[int, bytes], ...]  # (height, keyblock hash), ascending
+    ``pinned_hashes`` is the chain state's own append-only list of pinned
+    keyblock hashes, entry ``h - 1`` for height ``h``; the view reads only
+    heights ``1..tip_height``. Those entries never change once appended,
+    so the view stays a snapshot without copying them."""
+
+    pinned_hashes: Sequence[bytes]
     tip_height: int
     tip_hash: bytes
     penu_microblock_hash: bytes
 
     def pinned_hash_at(self, height: int) -> Optional[bytes]:
-        for h, digest in self.pinned:
-            if h == height:
-                return digest
+        if 1 <= height <= self.tip_height:
+            return self.pinned_hashes[height - 1]
         return None
 
 
@@ -89,8 +93,10 @@ class ChainState:
         self.microblocks: dict[str, MicroBlock] = {}
         self.pinned_keyblocks: list[KeyBlock] = []
         self._pinned_hashes: list[bytes] = []
-        # per keyblock height: hash of the last microblock touched that round
-        self._last_mb_hash: dict[int, bytes] = {}
+        # entry h: hash of the last microblock touched while the pinned tip
+        # was at most h, carried forward on each pin; entry 0 holds touches
+        # made before the first pin, which count toward height 1
+        self._last_mb_hash: list[bytes] = [GENESIS_MICROBLOCK_HASH]
         self.current_round = 0
         # instrumentation: microblock store reads, for retrieval-cost checks
         self.store_accesses = 0
@@ -123,7 +129,8 @@ class ChainState:
 
     @property
     def tip_height(self) -> int:
-        return self.pinned_keyblocks[-1].height if self.pinned_keyblocks else 0
+        # add_pinned_keyblock keeps heights at 1..n
+        return len(self.pinned_keyblocks)
 
     @property
     def tip_hash(self) -> bytes:
@@ -132,11 +139,9 @@ class ChainState:
     def last_microblock_hash(self, height: int) -> bytes:
         """Hash of the last microblock appended under the keyblock at
         ``height``; carried forward from earlier rounds, genesis before any."""
-        while height >= 1:
-            if height in self._last_mb_hash:
-                return self._last_mb_hash[height]
-            height -= 1
-        return GENESIS_MICROBLOCK_HASH
+        if height < 1:
+            return GENESIS_MICROBLOCK_HASH
+        return self._last_mb_hash[min(height, self.tip_height)]
 
     def penu_microblock_hash_for(self, next_height: int) -> bytes:
         if next_height <= 2:
@@ -144,12 +149,8 @@ class ChainState:
         return self.last_microblock_hash(next_height - 2)
 
     def view(self) -> ChainView:
-        pinned = tuple(
-            (kb.height, digest)
-            for kb, digest in zip(self.pinned_keyblocks, self._pinned_hashes)
-        )
         return ChainView(
-            pinned=pinned,
+            pinned_hashes=self._pinned_hashes,
             tip_height=self.tip_height,
             tip_hash=self.tip_hash,
             penu_microblock_hash=self.penu_microblock_hash_for(self.tip_height + 1),
@@ -168,6 +169,7 @@ class ChainState:
             raise ValueError("keyblock does not solve its puzzle")
         self.pinned_keyblocks.append(block)
         self._pinned_hashes.append(digest)
+        self._last_mb_hash.append(self._last_mb_hash[-1])
 
     def create_microblock(self, microblock: MicroBlock) -> None:
         if microblock.owner_patient_id in self.microblocks:
@@ -199,8 +201,7 @@ class ChainState:
         self.microblocks[microblock.owner_patient_id] = microblock
 
     def _touch_microblock(self, microblock: MicroBlock) -> None:
-        height = max(self.tip_height, 1)
-        self._last_mb_hash[height] = microblock_hash(microblock, self.group)
+        self._last_mb_hash[-1] = microblock_hash(microblock, self.group)
 
     # -- lookups ----------------------------------------------------------
 

@@ -52,15 +52,16 @@ class ConsensusGroup:
         return sum(m.weight for m in self.members)
 
     @cached_property
+    def _by_id(self) -> dict[str, GroupMember]:
+        return {m.miner_id: m for m in self.members}
+
+    @cached_property
     def weights(self) -> dict[str, float]:
         """Member id -> weight."""
-        return {m.miner_id: m.weight for m in self.members}
+        return {mid: m.weight for mid, m in self._by_id.items()}
 
     def member(self, miner_id: str) -> Optional[GroupMember]:
-        for m in self.members:
-            if m.miner_id == miner_id:
-                return m
-        return None
+        return self._by_id.get(miner_id)
 
 
 def select_group(

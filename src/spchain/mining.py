@@ -105,15 +105,21 @@ def mine_keyblock(
     max_attempts: int,
     rng: random.Random,
 ) -> MiningResult:
-    """Search random nonces against the puzzle over the current view."""
+    """Search random nonces against the puzzle over the current view.
+
+    Each attempt is ``solves`` on ``puzzle_preimage(prev, penu, nonce, pk)``,
+    split at the nonce: the fixed ``prev || penu`` prefix is hashed once
+    and its state copied per attempt."""
     height = view.tip_height + 1
     prev = view.tip_hash
     penu = view.penu_microblock_hash
     pk = miner_key.public_key
+    prefix = hashlib.sha256(prev + penu)
     for attempt in range(1, max_attempts + 1):
         nonce = rng.getrandbits(64)
-        puzzle = PuzzleInput(prev, penu, nonce, pk, target)
-        if solves(puzzle):
+        h = prefix.copy()
+        h.update(wire.u64(nonce) + pk)
+        if int.from_bytes(h.digest(), "big") < target:
             block = KeyBlock(
                 prev_keyblock_hash=prev,
                 penu_microblock_hash=penu,

@@ -78,6 +78,13 @@ BFT_BASE_S = 0.05
 PER_TX_VERIFY_S = 0.01
 
 
+def _count(counts: list[int], chunk: int) -> None:
+    """Add one to ``counts[chunk]``, zero-filling the chunks before it."""
+    if len(counts) <= chunk:
+        counts.extend([0] * (chunk + 1 - len(counts)))
+    counts[chunk] += 1
+
+
 @dataclass
 class SimulationResult:
     config: ScenarioConfig
@@ -119,8 +126,9 @@ class Simulation:
 
         self.honest: dict[str, bool] = {mid: True for mid in self.institutions}
         self.pinned_by: dict[str, int] = {mid: 0 for mid in self.institutions}
-        self.tr_counts: dict[str, dict[int, int]] = {mid: {} for mid in self.institutions}
-        self.tml_counts: dict[str, dict[int, int]] = {mid: {} for mid in self.institutions}
+        # per institution, per chunk: register resp. medical/label receipts
+        self.tr_counts: dict[str, list[int]] = {mid: [] for mid in self.institutions}
+        self.tml_counts: dict[str, list[int]] = {mid: [] for mid in self.institutions}
         self.kb_rewards: dict[str, float] = {mid: 0.0 for mid in self.institutions}
         self.total_rewards: dict[str, float] = {mid: 0.0 for mid in self.institutions}
 
@@ -183,11 +191,11 @@ class Simulation:
             r2 = 0.0
         else:
             chunk_count = -(-chain_length // CHUNK_SIZE)
-            tr = tuple(self.tr_counts[miner_id].get(i, 0) for i in range(chunk_count))
-            tml = tuple(self.tml_counts[miner_id].get(i, 0) for i in range(chunk_count))
+            tr = self.tr_counts[miner_id]
+            tml = self.tml_counts[miner_id]
             stats = ChunkStats(
-                tr=tr,
-                tml=tml,
+                tr=tuple(tr) + (0,) * (chunk_count - len(tr)),
+                tml=tuple(tml) + (0,) * (chunk_count - len(tml)),
                 chunk_size=CHUNK_SIZE,
                 chain_length=chain_length,
                 microblock_count=n_micro,
@@ -389,8 +397,7 @@ class Simulation:
         for tx in pinned.register_txs:
             info = self.chain.register_patient(tx)
             receiver = tx.payload.receiver_id
-            counts = self.tr_counts.setdefault(receiver, {})
-            counts[chunk] = counts.get(chunk, 0) + 1
+            _count(self.tr_counts[receiver], chunk)
             inst = self.institutions[receiver]
             leaves = [inst.info_leaf]
             self.patient_leaves[info.patient_id] = list(leaves)
@@ -506,8 +513,7 @@ class Simulation:
             )
         self.chain.append_to_microblock(patient_id, tx, cert, group)
         self.total_medical_txs += 1
-        counts = self.tml_counts.setdefault(receiver, {})
-        counts[chunk] = counts.get(chunk, 0) + 1
+        _count(self.tml_counts[receiver], chunk)
 
         microblock = self.chain.microblocks[patient_id]
         for miner, amount in distribute_rewards(

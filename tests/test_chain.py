@@ -12,6 +12,7 @@ from spchain.blocks import (
     MicroBlock,
     institution_root,
     keyblock_hash,
+    microblock_hash,
 )
 from spchain.chain import ChainState
 from spchain.mining import check_puzzle, mine_keyblock
@@ -197,6 +198,65 @@ def test_penu_microblock_hash_rules(world, group):
     assert chain.penu_microblock_hash_for(3) != GENESIS_MICROBLOCK_HASH
     # carried forward when later heights append nothing
     assert chain.last_microblock_hash(9) == chain.last_microblock_hash(1)
+
+
+def pin_next(chain, group, trio):
+    block = pinned(make_keyblock(chain, group), group, trio)
+    chain.add_pinned_keyblock(block, trio[0])
+    return block
+
+
+def test_view_reads_pinned_hashes_by_height(world, group, trio):
+    chain, _, _ = world
+    blocks = [pin_next(chain, group, trio) for _ in range(4)]
+    view = chain.view()
+    assert view.tip_height == 4
+    for h, block in enumerate(blocks, start=1):
+        assert block.height == h
+        assert view.pinned_hash_at(h) == keyblock_hash(block, group)
+    assert view.pinned_hash_at(0) is None
+    assert view.pinned_hash_at(5) is None
+
+
+def test_view_is_a_snapshot(world, group, trio):
+    chain, _, _ = world
+    for _ in range(2):
+        pin_next(chain, group, trio)
+    tip_hash = chain.tip_hash
+    before = chain.view()
+    pin_next(chain, group, trio)
+    assert chain.tip_hash != tip_hash
+    assert (before.tip_height, before.tip_hash) == (2, tip_hash)
+    assert before.pinned_hash_at(2) == tip_hash
+    assert before.pinned_hash_at(3) is None
+    assert chain.view().pinned_hash_at(3) == chain.tip_hash
+
+
+def test_last_microblock_hash_carries_forward(world, group, trio):
+    chain, institution, patient = world
+    touched = {}  # keyblock height -> hash of the last microblock touched there
+    pin_next(chain, group, trio)
+    registered(world, group)
+    touched[1] = microblock_hash(chain.microblocks[patient.address], group)
+    for _ in range(2):
+        pin_next(chain, group, trio)
+    tx = medical_tx(chain, institution, patient, group)
+    chain.append_to_microblock(patient.address, tx, pin_subject(tx.tx_id, *trio), trio[0])
+    touched[3] = microblock_hash(chain.microblocks[patient.address], group)
+    for _ in range(2):
+        pin_next(chain, group, trio)
+    assert chain.tip_height == 5
+
+    def walk_back(height):
+        while height >= 1:
+            if height in touched:
+                return touched[height]
+            height -= 1
+        return GENESIS_MICROBLOCK_HASH
+
+    assert touched[1] != touched[3]
+    for h in range(8):
+        assert chain.last_microblock_hash(h) == walk_back(h)
 
 
 # -- validation reason codes -----------------------------------------------------

@@ -27,7 +27,7 @@ from spchain.signing import keypair_from_seed
 
 def genesis_view():
     return ChainView(
-        pinned=(),
+        pinned_hashes=[],
         tip_height=0,
         tip_hash=GENESIS_KEYBLOCK_HASH,
         penu_microblock_hash=GENESIS_MICROBLOCK_HASH,
@@ -93,6 +93,57 @@ def test_check_puzzle_rejects_malformed():
     assert not check_puzzle(block)
 
 
+def reference_mine(view, pk, target, max_attempts, rng):
+    """The mining loop stated through ``solves``: (nonce, attempts) of the
+    first solution, or (None, max_attempts)."""
+    for attempt in range(1, max_attempts + 1):
+        nonce = rng.getrandbits(64)
+        puzzle = PuzzleInput(view.tip_hash, view.penu_microblock_hash, nonce, pk, target)
+        if solves(puzzle):
+            return nonce, attempt
+    return None, max_attempts
+
+
+@pytest.mark.parametrize(
+    "target, solvable",
+    [
+        ((1 << 256) - 1, True),
+        (target_from_zero_bits(1), True),
+        (target_from_zero_bits(6), True),
+        (target_from_zero_bits(10), True),
+        (target_from_zero_bits(40), False),  # runs out of budget
+    ],
+)
+def test_mine_keyblock_matches_reference_loop(target, solvable):
+    kp = keypair_from_seed(b"miner")
+    view = ChainView(
+        pinned_hashes=[b"\x11" * 32],
+        tip_height=1,
+        tip_hash=b"\x11" * 32,
+        penu_microblock_hash=b"\x22" * 32,
+    )
+    found = 0
+    for seed in range(5):
+        result = mine_keyblock(view, (), kp, target, 3000, random.Random(seed))
+        nonce, attempts = reference_mine(view, kp.public_key, target, 3000, random.Random(seed))
+        assert result.attempts == attempts
+        if nonce is None:
+            assert result.block is None
+            continue
+        found += 1
+        assert result.block == KeyBlock(
+            prev_keyblock_hash=view.tip_hash,
+            penu_microblock_hash=view.penu_microblock_hash,
+            nonce=nonce,
+            miner_public_key=kp.public_key,
+            register_txs=(),
+            target=target,
+            height=2,
+        )
+        assert check_puzzle(result.block)
+    assert (found > 0) == solvable
+
+
 def test_budget_exhaustion_returns_none():
     view = genesis_view()
     kp = keypair_from_seed(b"miner")
@@ -137,7 +188,7 @@ def test_fork_choice_rejects_pinned_conflict(group):
     pinned_block = mined_at(view, b"m1", group)
     pinned_hash = keyblock_hash(pinned_block, group)
     advanced = ChainView(
-        pinned=((1, pinned_hash),),
+        pinned_hashes=[pinned_hash],
         tip_height=1,
         tip_hash=pinned_hash,
         penu_microblock_hash=GENESIS_MICROBLOCK_HASH,
@@ -153,7 +204,7 @@ def test_fork_choice_orphans_side_branch(group):
     pinned_block = mined_at(view, b"m1", group)
     pinned_hash = keyblock_hash(pinned_block, group)
     advanced = ChainView(
-        pinned=((1, pinned_hash),),
+        pinned_hashes=[pinned_hash],
         tip_height=1,
         tip_hash=pinned_hash,
         penu_microblock_hash=GENESIS_MICROBLOCK_HASH,
