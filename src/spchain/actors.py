@@ -68,7 +68,6 @@ class PatientActor:
     sym_key: SymmetricKey
     keypair: KeyPair
     address: str
-    registered: bool = False
     plaintext_holdings: set = field(default_factory=set)
 
 
@@ -110,7 +109,7 @@ def setup_patient(seed: bytes) -> PatientActor:
 def setup_institution(seed: bytes, group: BilinearGroup) -> InstitutionActor:
     keypair = keypair_from_seed(b"institution/" + seed)
     rng = random.Random(hashlib.sha256(b"institution-rng/" + seed).digest())
-    ch_keys = ch_keygen(128, group, rng)
+    ch_keys = ch_keygen(group, rng)
     return InstitutionActor(
         sym_key=symmetric_key_from_seed(b"institution/" + seed),
         keypair=keypair,
@@ -164,7 +163,7 @@ def upload(
     The flow is identical for a first visit, a revisit, and a visit to a
     new institution; only the receiving institution differs.
     """
-    if not patient.registered:
+    if patient.address not in chain.patients:
         raise ValueError("patient is not registered")
     _, pointer, digest = _seal_and_digest(patient, institution, record)
     payload = MedicalPayload(
@@ -192,7 +191,7 @@ def label(
     fee: int = 0,
 ) -> Transaction:
     """Append-only correction of a misdiagnosed record."""
-    if not patient.registered:
+    if patient.address not in chain.patients:
         raise ValueError("patient is not registered")
     target = chain.find_patient_tx(patient.address, wrong_tx_id)
     if target is None:

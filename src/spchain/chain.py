@@ -8,7 +8,7 @@ themselves are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .blocks import (
@@ -195,9 +195,14 @@ class ChainState:
         return updated
 
     def replace_microblock(self, microblock: MicroBlock) -> None:
-        """Swap in a microblock whose institution root was redacted."""
-        if microblock.owner_patient_id not in self.microblocks:
-            raise KeyError(microblock.owner_patient_id)
+        """Swap in a microblock whose institution root was redacted: every
+        other field, and the root's ``h``, must be unchanged."""
+        current = self.microblocks[microblock.owner_patient_id]
+        if (
+            microblock.institution_root.h != current.institution_root.h
+            or replace(microblock, institution_root=current.institution_root) != current
+        ):
+            raise ValueError("a redaction may change only the institution root's opening")
         self.microblocks[microblock.owner_patient_id] = microblock
 
     def _touch_microblock(self, microblock: MicroBlock) -> None:
@@ -252,7 +257,7 @@ class ChainState:
         assert isinstance(payload, (MedicalPayload, LabelPayload))
         if payload.round_number > self.current_round:
             return False, BAD_ROUND
-        if not ch_verify(receiver.hk, payload.ch_digest.message, payload.ch_digest):
+        if not ch_verify(receiver.hk, payload.ch_digest):
             return False, BAD_PROOF
 
         if tx.tx_type is TxType.LABEL:

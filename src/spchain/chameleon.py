@@ -5,10 +5,8 @@ notation), with witness R = r*g. The trapdoor holder can move the digest
 to any new message without changing h, which is what makes records
 redactable while keeping every hash link intact.
 
-Proof backend: a "transparent" backend where the proof simply encodes the
-witness R (plus the message it binds), and verification is the direct
-pairing check e(h - m*h2, g2) == e(R, h1_hat). A zero-knowledge backend
-could be slotted in by swapping the proof encode/parse pair.
+A digest is the triple (h, R, m). It verifies when the pairing check
+e(h - m*h2, g2) == e(R, h1_hat) holds.
 """
 
 from __future__ import annotations
@@ -24,12 +22,11 @@ PROOF_TAG = b"TRV1"
 
 @dataclass(frozen=True)
 class ChameleonHashKey:
-    """Public hashing key (h1, h1_hat, h2, crs)."""
+    """Public hashing key (h1, h1_hat, h2)."""
 
     h1: int
     h1_hat: int
     h2: int
-    crs: bytes
     group: BilinearGroup
 
 
@@ -46,52 +43,28 @@ class ChameleonKeys:
 
 @dataclass(frozen=True)
 class ChameleonDigest:
-    """Digest h with its opaque proof and the message it binds."""
+    """Digest h with its witness R and the message m it binds."""
 
     h: int
-    proof: bytes
+    witness: int
     message: int
 
 
-def ch_keygen(security_param: int, group: BilinearGroup, rng: random.Random) -> ChameleonKeys:
+def ch_keygen(group: BilinearGroup, rng: random.Random) -> ChameleonKeys:
     """Draw a trapdoor x and derive (hk, tk).
 
     The trapdoor is redrawn if zero since collisions divide by it; h2 is
     uniform nonzero in G1.
     """
-    if security_param <= 0:
-        raise ValueError("security parameter must be positive")
-    if group.p < 5:
-        raise ValueError("degenerate group: order must be >= 5")
     x = group.random_nonzero_scalar(rng)
     h2 = group.scalar_mul(group.random_nonzero_scalar(rng), group.g1)
     hk = ChameleonHashKey(
         h1=group.scalar_mul(x, group.g1),
         h1_hat=group.scalar_mul(x, group.g2),
         h2=h2,
-        crs=b"",
         group=group,
     )
     return ChameleonKeys(hk=hk, tk=ChameleonTrapdoor(x=x))
-
-
-def _make_proof(group: BilinearGroup, witness: int, message: int) -> bytes:
-    return PROOF_TAG + group.encode_element(witness) + group.encode_element(message)
-
-
-def _parse_proof(group: BilinearGroup, proof: bytes):
-    """Return (witness, bound message) or None when malformed."""
-    w = group.element_width
-    if len(proof) != len(PROOF_TAG) + 2 * w:
-        return None
-    if proof[: len(PROOF_TAG)] != PROOF_TAG:
-        return None
-    try:
-        witness = group.decode_element(proof[len(PROOF_TAG) : len(PROOF_TAG) + w])
-        bound = group.decode_element(proof[len(PROOF_TAG) + w :])
-    except ValueError:
-        return None
-    return witness, bound
 
 
 def ch_hash(hk: ChameleonHashKey, m: int, r: int) -> ChameleonDigest:
@@ -102,23 +75,14 @@ def ch_hash(hk: ChameleonHashKey, m: int, r: int) -> ChameleonDigest:
     if r == 0:
         raise ValueError("randomness r must be nonzero")
     h = g.add(g.scalar_mul(r, hk.h1), g.scalar_mul(m, hk.h2))
-    witness = g.scalar_mul(r, g.g1)
-    return ChameleonDigest(h=h, proof=_make_proof(g, witness, m), message=m)
+    return ChameleonDigest(h=h, witness=g.scalar_mul(r, g.g1), message=m)
 
 
-def ch_verify(hk: ChameleonHashKey, m: int, digest: ChameleonDigest) -> bool:
-    """Check e(h - m*h2, g2) == e(R, h1_hat); malformed proofs verify false."""
+def ch_verify(hk: ChameleonHashKey, digest: ChameleonDigest) -> bool:
+    """Check e(h - m*h2, g2) == e(R, h1_hat) for the digest's own m."""
     g = hk.group
-    m = g.reduce_scalar(m)
-    parsed = _parse_proof(g, digest.proof)
-    if parsed is None:
-        return False
-    witness, bound = parsed
-    if bound != m:
-        return False
-    lhs = g.pair(g.sub(digest.h, g.scalar_mul(m, hk.h2)), g.g2)
-    rhs = g.pair(witness, hk.h1_hat)
-    return lhs == rhs
+    lhs = g.pair(g.sub(digest.h, g.scalar_mul(digest.message, hk.h2)), g.g2)
+    return lhs == g.pair(digest.witness, hk.h1_hat)
 
 
 def ch_collide(
@@ -133,12 +97,12 @@ def ch_collide(
     the hash key is detected by the post-collision verification.
     """
     g = hk.group
-    if not ch_verify(hk, old.message, old):
+    if not ch_verify(hk, old):
         raise ValueError("invalid source digest")
     m_new = g.reduce_scalar(m_new)
     witness = g.scalar_mul(g.inv_scalar(tk.x), g.sub(old.h, g.scalar_mul(m_new, hk.h2)))
-    out = ChameleonDigest(h=old.h, proof=_make_proof(g, witness, m_new), message=m_new)
-    if not ch_verify(hk, m_new, out):
+    out = ChameleonDigest(h=old.h, witness=witness, message=m_new)
+    if not ch_verify(hk, out):
         raise ValueError("trapdoor does not match hash key")
     return out
 
@@ -148,22 +112,38 @@ def message_scalar(data: bytes, group: BilinearGroup) -> int:
     return group.hash_to_scalar(data)
 
 
-# -- wire format: h || len(proof) as 4-byte big-endian || proof ----------
+# -- wire format: h || u32(len(proof)) || proof, proof = "TRV1" || R || m --
+
+
+def _proof_len(group: BilinearGroup) -> int:
+    return len(PROOF_TAG) + 2 * group.element_width
 
 
 def encode_digest(digest: ChameleonDigest, group: BilinearGroup) -> bytes:
-    return group.encode_element(digest.h) + u32(len(digest.proof)) + digest.proof
+    return (
+        group.encode_element(digest.h)
+        + u32(_proof_len(group))
+        + PROOF_TAG
+        + group.encode_element(digest.witness)
+        + group.encode_element(digest.message)
+    )
+
+
+def _decode_element(reader: Reader, group: BilinearGroup) -> int:
+    start = reader.pos
+    raw = reader.take(group.element_width)
+    try:
+        return group.decode_element(raw)
+    except ValueError as exc:
+        raise DecodeError(str(exc), start) from None
 
 
 def decode_digest(reader: Reader, group: BilinearGroup) -> ChameleonDigest:
+    h = _decode_element(reader, group)
     start = reader.pos
-    try:
-        h = group.decode_element(reader.take(group.element_width))
-    except ValueError as exc:
-        raise DecodeError(str(exc), start)
-    proof = reader.var_bytes()
-    # The bound message lives inside the proof; an unparsable proof still
-    # decodes (it just never verifies), mirroring ch_verify's behavior.
-    parsed = _parse_proof(group, proof)
-    message = parsed[1] if parsed is not None else 0
-    return ChameleonDigest(h=h, proof=proof, message=message)
+    if reader.u32() != _proof_len(group):
+        raise DecodeError("chameleon proof has the wrong length", start)
+    if reader.take(len(PROOF_TAG)) != PROOF_TAG:
+        raise DecodeError("unknown chameleon proof tag", start + 4)
+    witness = _decode_element(reader, group)
+    return ChameleonDigest(h=h, witness=witness, message=_decode_element(reader, group))

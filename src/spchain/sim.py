@@ -249,7 +249,7 @@ class Simulation:
         staged: list[Transaction] = []
         for patient_id in sorted(self.patients):
             patient = self.patients[patient_id]
-            if not patient.registered:
+            if patient_id not in self.chain.patients:
                 continue
             # labels target pinned medical records, so any pinned
             # transaction means the patient has a medical record
@@ -285,8 +285,6 @@ class Simulation:
         # arrival order is arbitrary in a real network; members canonically
         # reorder an interval's submissions by id, which makes the pinned
         # history independent of the delivery permutation
-        shuffler = random.Random((self.config.delivery_shuffle_seed << 20) ^ self.round_number)
-        shuffler.shuffle(staged)
         staged.sort(key=lambda tx: tx.tx_id)
         for tx in staged:
             self.scheduler.enqueue(tx.payload.receiver_id, tx)
@@ -412,9 +410,6 @@ class Simulation:
                     prev_hash=self.chain.last_microblock_hash(pinned.height),
                 )
             )
-            actor = self.patients.get(info.patient_id)
-            if actor is not None:
-                actor.registered = True
         # a late-published block may carry registers still in the mempool
         pinned_ids = {tx.tx_id for tx in pinned.register_txs}
         if pinned_ids:

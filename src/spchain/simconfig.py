@@ -56,9 +56,6 @@ class ScenarioConfig:
     adversary_strategy: str = "attack"  # flash only: attack | honest
     zombie_count: int = 0
 
-    # permutes same-round message delivery; must not affect pinned history
-    delivery_shuffle_seed: int = 0
-
     def validate(self) -> None:
         if self.rounds < 1:
             raise ConfigError("rounds must be positive")

@@ -171,10 +171,9 @@ def build_tx(
     target transaction hash.
     """
     if tx_type in (TxType.MEDICAL, TxType.LABEL):
-        digest = payload.ch_digest  # type: ignore[union-attr]
         if receiver_hk is None:
             raise ValueError("medical/label transactions need the receiver's hash key")
-        if not ch_verify(receiver_hk, digest.message, digest):
+        if not ch_verify(receiver_hk, payload.ch_digest):  # type: ignore[union-attr]
             raise ValueError("chameleon digest does not verify")
     if tx_type is TxType.LABEL and len(payload.target_tx_hash) != TX_ID_LEN:  # type: ignore[union-attr]
         raise ValueError("label transaction needs a 32-byte target tx hash")

@@ -59,28 +59,28 @@ def test_criterion_1_chameleon_redaction(group):
     started = time.perf_counter()
 
     small = BilinearGroup(101)
-    hk = ChameleonHashKey(h1=7, h1_hat=7, h2=5, crs=b"", group=small)
+    hk = ChameleonHashKey(h1=7, h1_hat=7, h2=5, group=small)
     tk = ChameleonTrapdoor(x=7)
     digest = ch_hash(hk, m=3, r=10)
     assert digest.h == 85
-    assert small.decode_element(digest.proof[4:5]) == 10  # witness R = 10
+    assert digest.witness == 10  # witness R = 10
     moved = ch_collide(tk, hk, digest, m_new=4)
     assert moved.h == 85
-    assert small.decode_element(moved.proof[4:5]) == 67  # witness R' = 67
-    assert ch_verify(hk, 4, moved)
-    assert not ch_verify(hk, 3, moved)
+    assert moved.witness == 67  # witness R' = 67
+    assert ch_verify(hk, moved)
+    assert not ch_verify(hk, dataclasses.replace(moved, message=3))
 
     rng = random.Random(2026)
-    keys = ch_keygen(128, group, rng)
+    keys = ch_keygen(group, rng)
     for _ in range(1000):
         m = rng.randrange(group.p)
         r = rng.randrange(1, group.p)
         original = ch_hash(keys.hk, m, r)
-        assert ch_verify(keys.hk, m, original)
+        assert ch_verify(keys.hk, original)
         m_new = rng.randrange(group.p)
         redacted = ch_collide(keys.tk, keys.hk, original, m_new)
-        assert redacted.h == original.h
-        assert ch_verify(keys.hk, m_new, redacted)
+        assert (redacted.h, redacted.message) == (original.h, m_new)
+        assert ch_verify(keys.hk, redacted)
 
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
@@ -330,7 +330,6 @@ def _workflow_chain(chain_length: int, group, trio):
     reg = register(alice, hospital, b"alice-identity", group, fee=2)
     assert chain.validate_tx(reg)[0]
     chain.register_patient(reg)
-    alice.registered = True
     chain.create_microblock(
         MicroBlock(
             owner_patient_id=alice.address,

@@ -34,7 +34,6 @@ def clinic(group):
     reg = register(alice, hospital, b"alice-id-info", group, fee=2)
     assert chain.validate_tx(reg)[0]
     chain.register_patient(reg)
-    alice.registered = True
     chain.create_microblock(
         MicroBlock(
             owner_patient_id=alice.address,

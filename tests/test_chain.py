@@ -13,11 +13,13 @@ from spchain.blocks import (
     institution_root,
     keyblock_hash,
     microblock_hash,
+    update_institution_root,
 )
 from spchain.chain import ChainState
+from spchain.chameleon import ch_hash, message_scalar
 from spchain.mining import check_puzzle, mine_keyblock
 from spchain.signing import keypair_from_seed, sign
-from spchain.tx import TxType, build_tx
+from spchain.tx import MedicalPayload, TxType, build_tx
 from tests.conftest import pin_subject, signed_members
 
 
@@ -35,7 +37,6 @@ def registered(world, group):
     chain, institution, patient = world
     tx = register(patient, institution, b"alice-id", group, fee=2)
     chain.register_patient(tx)
-    patient.registered = True
     root = institution_root([institution.info_leaf], institution.ch_keys.hk, random.Random(1))
     chain.create_microblock(
         MicroBlock(
@@ -302,10 +303,15 @@ def test_validate_unknown_institution(world, group):
 
 
 def test_validate_unregistered_sender(world, group):
-    chain, institution, patient = world
-    patient.registered = True  # actor-side flag only; chain never saw the register
-    record = EmrRecord(b"r", institution.address, patient.address, 1)
-    tx = upload(patient, institution, record, chain, fee=1)
+    chain, institution, patient = world  # the chain never saw a register
+    hk = institution.ch_keys.hk
+    payload = MedicalPayload(
+        receiver_id=institution.address,
+        ch_digest=ch_hash(hk, message_scalar(b"r", group), 5),
+        pointer="ab" * 32,
+        round_number=1,
+    )
+    tx = build_tx(TxType.MEDICAL, payload, patient.keypair, group, fee=1, receiver_hk=hk)
     assert chain.validate_tx(tx) == (False, chain_mod.UNREGISTERED)
 
 
@@ -381,6 +387,31 @@ def test_one_microblock_per_patient(world, group):
     existing = chain.microblocks[patient.address]
     with pytest.raises(ValueError, match="already owns"):
         chain.create_microblock(existing)
+
+
+def test_replace_microblock_changes_only_the_root_opening(world, group, trio):
+    chain, institution, patient = registered(world, group)
+    tx = medical_tx(chain, institution, patient, group)
+    current = chain.append_to_microblock(
+        patient.address, tx, pin_subject(tx.tx_id, *trio), trio[0]
+    )
+    hk, tk = institution.ch_keys.hk, institution.ch_keys.tk
+    moved = update_institution_root(
+        current.institution_root, [institution.info_leaf, b"clinic"], hk, tk
+    )
+    other = institution_root([institution.info_leaf], hk, random.Random(9))
+    assert other.h != current.institution_root.h
+    for bad in (
+        dataclasses.replace(current, institution_root=moved, txs=()),  # drops tx
+        dataclasses.replace(current, institution_root=other),  # different h
+        dataclasses.replace(current, institution_root=moved, round_number=2),
+    ):
+        with pytest.raises(ValueError, match="institution root"):
+            chain.replace_microblock(bad)
+        assert chain.microblocks[patient.address] is current
+    redacted = dataclasses.replace(current, institution_root=moved)
+    chain.replace_microblock(redacted)
+    assert chain.microblocks[patient.address] is redacted
 
 
 def test_append_and_lookup_counts_accesses(world, group, trio):

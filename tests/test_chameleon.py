@@ -1,10 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 from spchain.chameleon import (
     PROOF_TAG,
-    ChameleonDigest,
     ChameleonHashKey,
     ChameleonTrapdoor,
     ch_collide,
@@ -16,12 +16,12 @@ from spchain.chameleon import (
     message_scalar,
 )
 from spchain.group import BilinearGroup, default_group
-from spchain.wire import Reader
+from spchain.wire import DecodeError, Reader
 
 
 def worked_key(small_group):
     """x=7, h2=5 over p=101; hand-checked oracle values used below."""
-    hk = ChameleonHashKey(h1=7, h1_hat=7, h2=5, crs=b"", group=small_group)
+    hk = ChameleonHashKey(h1=7, h1_hat=7, h2=5, group=small_group)
     return hk, ChameleonTrapdoor(x=7)
 
 
@@ -30,9 +30,8 @@ def test_worked_example_hash(small_group):
     hk, _ = worked_key(small_group)
     digest = ch_hash(hk, m=3, r=10)
     assert digest.h == 85
-    assert ch_verify(hk, 3, digest)
-    witness = small_group.decode_element(digest.proof[len(PROOF_TAG) : len(PROOF_TAG) + 1])
-    assert witness == 10
+    assert digest.witness == 10
+    assert ch_verify(hk, digest)
 
 
 def test_worked_example_collision(small_group):
@@ -41,41 +40,38 @@ def test_worked_example_collision(small_group):
     old = ch_hash(hk, m=3, r=10)
     new = ch_collide(tk, hk, old, m_new=4)
     assert new.h == 85  # digest unchanged
-    assert ch_verify(hk, 4, new)
-    witness = small_group.decode_element(new.proof[len(PROOF_TAG) : len(PROOF_TAG) + 1])
-    assert witness == 67
+    assert new.witness == 67
+    assert ch_verify(hk, new)
 
 
 def test_proof_binds_message(small_group):
     hk, _ = worked_key(small_group)
     digest = ch_hash(hk, m=3, r=10)
-    # same h would also open at other (m, r) pairs, but the proof pins m
-    assert not ch_verify(hk, 4, digest)
-    assert not ch_verify(hk, 0, digest)
+    # same h would also open at other (m, r) pairs, but the witness pins m
+    assert not ch_verify(hk, dataclasses.replace(digest, message=4))
+    assert not ch_verify(hk, dataclasses.replace(digest, message=0))
+    assert not ch_verify(hk, dataclasses.replace(digest, witness=11))
 
 
 def test_exhaustive_binding_small_prime(small_group):
     """Brute force over all messages: only the bound message verifies."""
     hk, _ = worked_key(small_group)
     digest = ch_hash(hk, m=3, r=10)
-    verifying = [m for m in range(101) if ch_verify(hk, m, digest)]
+    verifying = [
+        m for m in range(101) if ch_verify(hk, dataclasses.replace(digest, message=m))
+    ]
     assert verifying == [3]
 
 
 def test_keygen_shapes_and_determinism(small_group):
-    keys1 = ch_keygen(128, small_group, random.Random(42))
-    keys2 = ch_keygen(128, small_group, random.Random(42))
+    keys1 = ch_keygen(small_group, random.Random(42))
+    keys2 = ch_keygen(small_group, random.Random(42))
     assert keys1 == keys2
     g = small_group
     assert keys1.hk.h1 == g.scalar_mul(keys1.tk.x, g.g1)
     assert keys1.hk.h1_hat == g.scalar_mul(keys1.tk.x, g.g2)
     assert keys1.hk.h2 != 0
     assert keys1.tk.x != 0
-
-
-def test_keygen_rejects_bad_params(small_group):
-    with pytest.raises(ValueError):
-        ch_keygen(0, small_group, random.Random(1))
 
 
 def test_hash_rejects_zero_randomness(small_group):
@@ -89,9 +85,12 @@ def test_hash_rejects_zero_randomness(small_group):
 def test_collide_requires_valid_source(small_group):
     hk, tk = worked_key(small_group)
     digest = ch_hash(hk, m=3, r=10)
-    broken = ChameleonDigest(h=digest.h, proof=b"garbage", message=3)
-    with pytest.raises(ValueError, match="invalid source digest"):
-        ch_collide(tk, hk, broken, m_new=4)
+    for broken in (
+        dataclasses.replace(digest, witness=11),
+        dataclasses.replace(digest, message=4),
+    ):
+        with pytest.raises(ValueError, match="invalid source digest"):
+            ch_collide(tk, hk, broken, m_new=4)
 
 
 def test_collide_detects_wrong_trapdoor(small_group):
@@ -101,51 +100,67 @@ def test_collide_detects_wrong_trapdoor(small_group):
         ch_collide(ChameleonTrapdoor(x=8), hk, digest, m_new=4)
 
 
-def test_malformed_proofs_verify_false(small_group):
-    hk, _ = worked_key(small_group)
-    digest = ch_hash(hk, m=3, r=10)
-    for proof in (b"", b"XXXX" + digest.proof[4:], digest.proof + b"\x00"):
-        assert not ch_verify(hk, 3, ChameleonDigest(h=digest.h, proof=proof, message=3))
-
-
 def test_randomized_hash_collide_cycle(group):
     rng = random.Random(99)
-    keys = ch_keygen(128, group, rng)
+    keys = ch_keygen(group, rng)
     for _ in range(50):
         m = rng.randrange(group.p)
         r = rng.randrange(1, group.p)
         digest = ch_hash(keys.hk, m, r)
-        assert ch_verify(keys.hk, m, digest)
+        assert ch_verify(keys.hk, digest)
         m_new = rng.randrange(group.p)
         new = ch_collide(keys.tk, keys.hk, digest, m_new)
-        assert new.h == digest.h
-        assert ch_verify(keys.hk, m_new, new)
+        assert (new.h, new.message) == (digest.h, m_new)
+        assert ch_verify(keys.hk, new)
         if m_new != m:
-            assert not ch_verify(keys.hk, m, new)
+            assert not ch_verify(keys.hk, dataclasses.replace(new, message=m))
 
 
 def test_digest_wire_format_is_h_len_proof(group):
-    keys = ch_keygen(128, group, random.Random(5))
-    digest = ch_hash(keys.hk, 12345, 678)
-    encoded = encode_digest(digest, group)
+    """h || u32(len(proof)) || "TRV1" || R || m, for a hashed and a
+    collided digest; decoding gives the digest back."""
+    keys = ch_keygen(group, random.Random(5))
+    hashed = ch_hash(keys.hk, 12345, 678)
+    collided = ch_collide(keys.tk, keys.hk, hashed, 999)
     w = group.element_width
-    assert encoded[:w] == group.encode_element(digest.h)
-    assert int.from_bytes(encoded[w : w + 4], "big") == len(digest.proof)
-    assert encoded[w + 4 :] == digest.proof
+    for digest in (hashed, collided):
+        encoded = encode_digest(digest, group)
+        assert encoded == (
+            group.encode_element(digest.h)
+            + (4 + 2 * w).to_bytes(4, "big")
+            + b"TRV1"
+            + group.encode_element(digest.witness)
+            + group.encode_element(digest.message)
+        )
+        reader = Reader(encoded)
+        decoded = decode_digest(reader, group)
+        reader.expect_end()
+        assert decoded == digest
+        assert ch_verify(keys.hk, decoded)
 
-    reader = Reader(encoded)
-    decoded = decode_digest(reader, group)
-    reader.expect_end()
-    assert decoded == digest
-    assert ch_verify(keys.hk, decoded.message, decoded)
 
+def test_malformed_proofs_raise_decode_error(small_group):
+    hk, _ = worked_key(small_group)
+    digest = ch_hash(hk, m=3, r=10)
+    encoded = encode_digest(digest, small_group)
+    h, proof = encoded[:1], encoded[5:]
+    assert proof == PROOF_TAG + bytes([10, 3])
 
-def test_decode_digest_with_opaque_proof_never_verifies(group):
-    keys = ch_keygen(128, group, random.Random(6))
-    digest = ch_hash(keys.hk, 1, 2)
-    encoded = group.encode_element(digest.h) + (4).to_bytes(4, "big") + b"junk"
-    decoded = decode_digest(Reader(encoded), group)
-    assert not ch_verify(keys.hk, decoded.message, decoded)
+    def with_proof(body: bytes) -> bytes:
+        return h + len(body).to_bytes(4, "big") + body
+
+    assert decode_digest(Reader(with_proof(proof)), small_group) == digest
+    for bad in (
+        with_proof(b""),
+        with_proof(b"XXXX" + proof[4:]),
+        with_proof(proof[:-1]),
+        with_proof(proof + b"\x00"),
+        with_proof(PROOF_TAG + bytes([101, 3])),  # witness >= p
+        with_proof(PROOF_TAG + bytes([10, 255])),  # message >= p
+        bytes([101]) + encoded[1:],  # h >= p
+    ):
+        with pytest.raises(DecodeError):
+            decode_digest(Reader(bad), small_group)
 
 
 def test_message_scalar_range_and_stability():

@@ -61,6 +61,7 @@ def test_bad_config_exits_2(tmp_path, capsys):
         "creator_share = 1.5\n",
         "consensus_power_fraction = 0.9\n",
         "rep_lambda = 1\n",
+        "delivery_shuffle_seed = 1\n",
     ):
         bad.write_text(text)
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == EXIT_CONFIG

@@ -4,9 +4,11 @@ import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "spchain").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+SOURCES = [
+    path
+    for folder in ("src/spchain", "tests", "perfbench")
+    for path in sorted((ROOT / folder).glob("*.py"))
+]
 
 
 def unused_imports(source: str) -> list[str]:

@@ -49,7 +49,7 @@ from tests.conftest import fresh_microblock_encoding, pin_subject, signed_member
 
 
 def make_keys(seed: int, group):
-    return ch_keygen(128, group, random.Random(seed))
+    return ch_keygen(group, random.Random(seed))
 
 
 def make_register_tx(group, seed=b"p1", receiver="inst-a", fee=2):
@@ -292,11 +292,13 @@ def test_merkle_single_leaf_and_order_sensitivity():
 def test_institution_root_redaction_keeps_h(group):
     keys = make_keys(8, group)
     root = institution_root([b"hospital-a"], keys.hk, random.Random(1))
-    assert ch_verify(keys.hk, message_scalar(merkle_root([b"hospital-a"]), group), root)
+    assert root.message == message_scalar(merkle_root([b"hospital-a"]), group)
+    assert ch_verify(keys.hk, root)
     updated = update_institution_root(root, [b"hospital-a", b"clinic-b"], keys.hk, keys.tk)
     assert updated.h == root.h
     new_top = merkle_root([b"hospital-a", b"clinic-b"])
-    assert ch_verify(keys.hk, message_scalar(new_top, group), updated)
+    assert updated.message == message_scalar(new_top, group)
+    assert ch_verify(keys.hk, updated)
 
 
 # -- microblock append rules ------------------------------------------------------
@@ -439,3 +441,40 @@ def test_every_truncated_keyblock_encoding_raises_decode_error(block):
     for end in range(len(data)):
         with pytest.raises(DecodeError):
             decode_block(data[:end], group)
+
+
+RECORD_KEYS = make_keys(4, default_group())
+
+
+@st.composite
+def record_txs(draw):
+    """A signed medical or label transaction with drawn fields."""
+    group = default_group()
+    hk = RECORD_KEYS.hk
+    m, r = draw(st.integers(0, group.p - 1)), draw(st.integers(1, group.p - 1))
+    fields = dict(
+        receiver_id=draw(st.text(max_size=12)),
+        ch_digest=ch_hash(hk, m, r),
+        pointer=draw(st.text(max_size=16)),
+        round_number=draw(st.integers(0, 2**64 - 1)),
+    )
+    if draw(st.booleans()):
+        tx_type, payload = TxType.MEDICAL, MedicalPayload(**fields)
+    else:
+        target = draw(st.binary(min_size=32, max_size=32))
+        tx_type, payload = TxType.LABEL, LabelPayload(target_tx_hash=target, **fields)
+    fee = draw(st.integers(0, 2**64 - 1))
+    return build_tx(tx_type, payload, keypair_from_seed(b"p1"), group, fee=fee, receiver_hk=hk)
+
+
+@settings(max_examples=30, deadline=None)
+@given(record_txs())
+def test_every_truncated_record_tx_encoding_raises_decode_error(tx):
+    group = default_group()
+    data = encode_tx(tx, group)
+    reader = Reader(data)
+    assert decode_tx(reader, group) == tx
+    reader.expect_end()
+    for end in range(len(data)):
+        with pytest.raises(DecodeError):
+            decode_tx(Reader(data[:end]), group)
