@@ -139,7 +139,9 @@ def test_digest_wire_format_is_h_len_proof(group):
         assert ch_verify(keys.hk, decoded)
 
 
-def test_malformed_proofs_raise_decode_error(small_group):
+def worked_encoding(small_group):
+    """The worked digest's bytes, its proof, and a helper that frames
+    another proof after the same h."""
     hk, _ = worked_key(small_group)
     digest = ch_hash(hk, m=3, r=10)
     encoded = encode_digest(digest, small_group)
@@ -150,6 +152,42 @@ def test_malformed_proofs_raise_decode_error(small_group):
         return h + len(body).to_bytes(4, "big") + body
 
     assert decode_digest(Reader(with_proof(proof)), small_group) == digest
+    return hk, encoded, proof, with_proof
+
+
+def test_malformed_proofs_verify_false(small_group):
+    """A malformed proof never yields a digest to verify; a well-formed
+    proof with the wrong witness decodes and verifies false."""
+    hk, _, proof, with_proof = worked_encoding(small_group)
+    for bad in (b"", b"XXXX" + proof[4:], proof + b"\x00"):
+        with pytest.raises(DecodeError):
+            decode_digest(Reader(with_proof(bad)), small_group)
+    wrong = decode_digest(Reader(with_proof(PROOF_TAG + bytes([11, 3]))), small_group)
+    assert not ch_verify(hk, wrong)
+
+
+def test_decode_digest_with_opaque_proof_never_verifies(group):
+    """Opaque junk of any length is refused at decode; junk elements
+    behind the right length and tag decode but never verify."""
+    keys = ch_keygen(group, random.Random(6))
+    digest = ch_hash(keys.hk, 1, 2)
+    h = group.encode_element(digest.h)
+    junk = h + (4).to_bytes(4, "big") + b"junk"
+    with pytest.raises(DecodeError):
+        decode_digest(Reader(junk), group)
+    rng = random.Random(7)
+    for _ in range(20):
+        body = PROOF_TAG + b"".join(
+            group.encode_element(rng.randrange(group.p)) for _ in range(2)
+        )
+        opaque = h + len(body).to_bytes(4, "big") + body
+        decoded = decode_digest(Reader(opaque), group)
+        assert decoded.h == digest.h
+        assert not ch_verify(keys.hk, decoded)
+
+
+def test_malformed_proofs_raise_decode_error(small_group):
+    _, encoded, proof, with_proof = worked_encoding(small_group)
     for bad in (
         with_proof(b""),
         with_proof(b"XXXX" + proof[4:]),
