@@ -14,7 +14,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
-from .chain import ChainState, InstitutionInfo
+from .chain import ChainState, InstitutionInfo, RecordDescriptor
 from .chameleon import ChameleonKeys, ch_hash, ch_keygen, message_scalar
 from .envelope import SymmetricKey, seal_emr, symmetric_key_from_seed, unseal_layer
 from .group import BilinearGroup
@@ -249,35 +249,15 @@ def share(
     return delivered
 
 
-@dataclass(frozen=True)
-class RecordDescriptor:
-    tx: Transaction
-    current: Transaction  # newest label in the chain, or the tx itself
-
-
 def retrieve_history(patient_id: str, chain: ChainState) -> list[RecordDescriptor]:
-    """The patient's full chronological record list with label resolution.
+    """The patient's full chronological record list, each entry with the
+    newest label chained to it (the entry itself when it has none).
 
-    Single microblock lookup; cost is proportional to the patient's own
-    history and independent of total chain length.
+    The chain indexes each patient's records as they are appended, so a
+    read copies that patient's descriptor list: its cost tracks the
+    patient's own history and is independent of total chain length.
+    Raises ``KeyError`` for an unregistered patient.
     """
     if patient_id not in chain.patients:
         raise KeyError(f"unknown patient {patient_id}")
-    microblock = chain.microblock_of(patient_id)
-    labels_by_target: dict[bytes, Transaction] = {}
-    for entry in microblock.txs:
-        chain.store_accesses += 1
-        if entry.tx_type is TxType.LABEL:
-            # newest label for a target wins (chains of labels allowed)
-            labels_by_target[entry.payload.target_tx_hash] = entry
-
-    def newest(entry: Transaction) -> Transaction:
-        seen = {entry.tx_id}
-        while entry.tx_id in labels_by_target:
-            entry = labels_by_target[entry.tx_id]
-            if entry.tx_id in seen:
-                break
-            seen.add(entry.tx_id)
-        return entry
-
-    return [RecordDescriptor(tx=entry, current=newest(entry)) for entry in microblock.txs]
+    return chain.history_of(patient_id)

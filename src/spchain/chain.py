@@ -61,6 +61,7 @@ class PatientInfo:
     public_key: bytes
     identity_digest: bytes
     registration_round: int
+    home_institution_id: str  # the register tx's receiver; the root is under its key
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,65 @@ class ChainView:
         return None
 
 
+@dataclass(frozen=True)
+class RecordDescriptor:
+    tx: Transaction
+    current: Transaction  # newest label in the chain, or the tx itself
+
+
+class _RecordIndex:
+    """One patient's microblock entries, indexed as they are appended.
+
+    The label rule lives here: the newest label for a target wins, and an
+    entry resolves to the end of its chain of newest labels, stopping at
+    the first id met twice. ``descriptors[p]`` is the entry at position
+    ``p`` with its chain resolved under every label appended so far."""
+
+    def __init__(self) -> None:
+        self.positions: dict[bytes, list[int]] = {}
+        self.newest_label: dict[bytes, Transaction] = {}
+        self.descriptors: list[RecordDescriptor] = []
+
+    def append(self, tx: Transaction) -> None:
+        self.positions.setdefault(tx.tx_id, []).append(len(self.descriptors))
+        if tx.tx_type is TxType.LABEL:
+            self.newest_label[tx.payload.target_tx_hash] = tx
+        self.descriptors.append(RecordDescriptor(tx, self._resolve(tx)))
+        if tx.tx_type is TxType.LABEL:
+            # only entries whose chain reaches the target can resolve anew
+            for tx_id in self._back_walk(tx.payload.target_tx_hash):
+                for pos in self.positions.get(tx_id, ()):
+                    entry = self.descriptors[pos].tx
+                    self.descriptors[pos] = RecordDescriptor(entry, self._resolve(entry))
+
+    def _resolve(self, entry: Transaction) -> Transaction:
+        seen = {entry.tx_id}
+        while entry.tx_id in self.newest_label:
+            entry = self.newest_label[entry.tx_id]
+            if entry.tx_id in seen:
+                break
+            seen.add(entry.tx_id)
+        return entry
+
+    def _back_walk(self, tx_id: bytes) -> set[bytes]:
+        """``tx_id``, then the target it is the newest label for, and so
+        on: every id whose chain of newest labels passes through it."""
+        walked: set[bytes] = set()
+        while tx_id not in walked:
+            walked.add(tx_id)
+            positions = self.positions.get(tx_id)
+            if positions is None:
+                break
+            entry = self.descriptors[positions[0]].tx
+            if entry.tx_type is not TxType.LABEL:
+                break
+            target = entry.payload.target_tx_hash
+            if self.newest_label[target].tx_id != tx_id:
+                break
+            tx_id = target
+        return walked
+
+
 class ChainState:
     def __init__(self, group: BilinearGroup):
         self.group = group
@@ -91,6 +151,7 @@ class ChainState:
         self._patients_by_pk: dict[bytes, str] = {}
         self._identity_index: dict[bytes, str] = {}
         self.microblocks: dict[str, MicroBlock] = {}
+        self._records: dict[str, _RecordIndex] = {}
         self.pinned_keyblocks: list[KeyBlock] = []
         self._pinned_hashes: list[bytes] = []
         # entry h: hash of the last microblock touched while the pinned tip
@@ -119,6 +180,7 @@ class ChainState:
             public_key=tx.sender_pk,
             identity_digest=payload.identity_digest,
             registration_round=self.current_round,
+            home_institution_id=payload.receiver_id,
         )
         self.patients[patient_id] = info
         self._patients_by_pk[tx.sender_pk] = patient_id
@@ -172,11 +234,17 @@ class ChainState:
         self._last_mb_hash.append(self._last_mb_hash[-1])
 
     def create_microblock(self, microblock: MicroBlock) -> None:
-        if microblock.owner_patient_id in self.microblocks:
+        patient_id = microblock.owner_patient_id
+        if patient_id in self.microblocks:
             raise ValueError("patient already owns a microblock")
-        if microblock.owner_patient_id not in self.patients:
+        if patient_id not in self.patients:
             raise ValueError("owner is not a registered patient")
-        self.microblocks[microblock.owner_patient_id] = microblock
+        self._check_root_opening(microblock)
+        records = _RecordIndex()
+        for tx in microblock.txs:
+            records.append(tx)
+        self.microblocks[patient_id] = microblock
+        self._records[patient_id] = records
         self._touch_microblock(microblock)
 
     def append_to_microblock(
@@ -191,38 +259,55 @@ class ChainState:
         current = self.microblocks[patient_id]
         updated = append_pinned_tx(current, tx)
         self.microblocks[patient_id] = updated
+        self._records[patient_id].append(tx)
         self._touch_microblock(updated)
         return updated
 
     def replace_microblock(self, microblock: MicroBlock) -> None:
         """Swap in a microblock whose institution root was redacted: every
-        other field, and the root's ``h``, must be unchanged."""
+        other field, and the root's ``h``, must be unchanged, and the new
+        opening must verify. ``txs`` cannot change, so the record index
+        stands."""
         current = self.microblocks[microblock.owner_patient_id]
         if (
             microblock.institution_root.h != current.institution_root.h
             or replace(microblock, institution_root=current.institution_root) != current
         ):
             raise ValueError("a redaction may change only the institution root's opening")
+        self._check_root_opening(microblock)
         self.microblocks[microblock.owner_patient_id] = microblock
+
+    def _check_root_opening(self, microblock: MicroBlock) -> None:
+        home = self.patients[microblock.owner_patient_id].home_institution_id
+        if not ch_verify(self.institutions[home].hk, microblock.institution_root):
+            raise ValueError("institution root does not open under the home institution's key")
 
     def _touch_microblock(self, microblock: MicroBlock) -> None:
         self._last_mb_hash[-1] = microblock_hash(microblock, self.group)
 
     # -- lookups ----------------------------------------------------------
 
-    def microblock_of(self, patient_id: str) -> MicroBlock:
-        self.store_accesses += 1
-        return self.microblocks[patient_id]
+    def history_of(self, patient_id: str) -> list[RecordDescriptor]:
+        """The patient's entries in order, each with its newest label; a
+        fresh list per call. Charged as one microblock fetch plus one read
+        per entry."""
+        descriptors = self._records[patient_id].descriptors
+        self.store_accesses += 1 + len(descriptors)
+        return list(descriptors)
 
     def find_patient_tx(self, patient_id: str, tx_id: bytes) -> Optional[Transaction]:
-        microblock = self.microblocks.get(patient_id)
-        if microblock is None:
+        """The first entry with ``tx_id`` in the patient's microblock.
+        Charged as a scan from the head: the entries up to a hit, all of
+        them on a miss."""
+        records = self._records.get(patient_id)
+        if records is None:
             return None
-        for tx in microblock.txs:
-            self.store_accesses += 1
-            if tx.tx_id == tx_id:
-                return tx
-        return None
+        positions = records.positions.get(tx_id)
+        if positions is None:
+            self.store_accesses += len(records.descriptors)
+            return None
+        self.store_accesses += positions[0] + 1
+        return records.descriptors[positions[0]].tx
 
     # -- validation ---------------------------------------------------------
 

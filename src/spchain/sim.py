@@ -133,7 +133,6 @@ class Simulation:
         self.total_rewards: dict[str, float] = {mid: 0.0 for mid in self.institutions}
 
         self.patients: dict[str, PatientActor] = {}
-        self.home_institution: dict[str, str] = {}
         self.patient_leaves: dict[str, list[bytes]] = {}
         self._spawned = 0
 
@@ -228,7 +227,6 @@ class Simulation:
             patient = setup_patient(b"patient/%d" % idx)
             home = self.miners[self.rng.randrange(len(self.miners))]
             self.patients[patient.address] = patient
-            self.home_institution[patient.address] = home.address
             tx = make_register(
                 patient, home, b"identity/%d" % idx, self.group_params, fee=self.fees.register_fee
             )
@@ -237,7 +235,6 @@ class Simulation:
             fraud_inst = self.institutions[self.adversary.miner_id]
             zombie = setup_patient(seed)
             self.patients[zombie.address] = zombie
-            self.home_institution[zombie.address] = fraud_inst.address
             tx = make_register(
                 zombie, fraud_inst, identity, self.group_params, fee=self.fees.register_fee
             )
@@ -258,7 +255,7 @@ class Simulation:
                 if txs:
                     inst = self.miners[self.rng.randrange(len(self.miners))]
                 else:
-                    inst = self.institutions[self.home_institution[patient_id]]
+                    inst = self.institutions[self.chain.patients[patient_id].home_institution_id]
                 record = EmrRecord(
                     plaintext=self.rng.randbytes(cfg.emr_size_bytes),
                     institution_id=inst.address,
@@ -498,7 +495,7 @@ class Simulation:
             # under the same root via a trapdoor collision at the home
             # institution, so the stored root never changes
             leaves.append(inst.info_leaf)
-            home = self.institutions[self.home_institution[patient_id]]
+            home = self.institutions[self.chain.patients[patient_id].home_institution_id]
             current = self.chain.microblocks[patient_id]
             new_root = update_institution_root(
                 current.institution_root, leaves, home.ch_keys.hk, home.ch_keys.tk

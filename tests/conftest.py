@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from spchain import wire
 from spchain.blocks import MicroBlock, TxCertificate, batch_vote_message, merkle_root
@@ -9,6 +10,11 @@ from spchain.consensus import ConsensusGroup, GroupMember, pin
 from spchain.group import BilinearGroup, default_group
 from spchain.signing import keypair_from_seed, sign
 from spchain.tx import encode_tx
+
+# Every run draws the same examples, and no example database carries a
+# failure from one run into the next.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -3,9 +3,17 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spchain import chain as chain_mod
-from spchain.actors import EmrRecord, register, setup_institution, setup_patient, upload
+from spchain.actors import (
+    EmrRecord,
+    register,
+    retrieve_history,
+    setup_institution,
+    setup_patient,
+    upload,
+)
 from spchain.blocks import (
     GENESIS_MICROBLOCK_HASH,
     BatchVote,
@@ -19,7 +27,7 @@ from spchain.chain import ChainState
 from spchain.chameleon import ch_hash, message_scalar
 from spchain.mining import check_puzzle, mine_keyblock
 from spchain.signing import keypair_from_seed, sign
-from spchain.tx import MedicalPayload, TxType, build_tx
+from spchain.tx import LabelPayload, MedicalPayload, Transaction, TxType, build_tx
 from tests.conftest import pin_subject, signed_members
 
 
@@ -414,13 +422,179 @@ def test_replace_microblock_changes_only_the_root_opening(world, group, trio):
     assert chain.microblocks[patient.address] is redacted
 
 
+def test_root_opening_must_verify_under_the_home_key(world, group, trio):
+    chain, institution, patient = world
+    chain.register_patient(register(patient, institution, b"alice-id", group))
+    hk = institution.ch_keys.hk
+    root = institution_root([institution.info_leaf], hk, random.Random(1))
+    wrong_witness = dataclasses.replace(root, witness=(root.witness + 1) % group.p)
+    wrong_message = dataclasses.replace(root, message=(root.message + 1) % group.p)
+    clinic = setup_institution(b"clinic", group)
+    chain.register_institution(clinic.chain_info())
+    foreign = institution_root([institution.info_leaf], clinic.ch_keys.hk, random.Random(1))
+
+    def microblock(institution_root):
+        return MicroBlock(
+            owner_patient_id=patient.address, institution_root=institution_root, txs=(),
+            creator_miner_id="m0", round_number=1, prev_hash=GENESIS_MICROBLOCK_HASH,
+        )
+
+    for bad in (wrong_witness, wrong_message, foreign):
+        with pytest.raises(ValueError, match="home institution"):
+            chain.create_microblock(microblock(bad))
+        assert patient.address not in chain.microblocks
+    chain.create_microblock(microblock(root))
+    current = chain.microblocks[patient.address]
+    for bad in (wrong_witness, wrong_message):  # same h: only the opening is wrong
+        with pytest.raises(ValueError, match="home institution"):
+            chain.replace_microblock(dataclasses.replace(current, institution_root=bad))
+        assert chain.microblocks[patient.address] is current
+
+
 def test_append_and_lookup_counts_accesses(world, group, trio):
+    """A lookup is charged as a scan from the microblock's head and a
+    history read as one fetch plus one read per entry."""
     chain, institution, patient = registered(world, group)
-    tx = medical_tx(chain, institution, patient, group)
-    chain.append_to_microblock(patient.address, tx, pin_subject(tx.tx_id, *trio), trio[0])
+    txs = [medical_tx(chain, institution, patient, group) for _ in range(3)]
+    assert len({tx.tx_id for tx in txs}) == 3
+    for tx in txs:
+        chain.append_to_microblock(patient.address, tx, pin_subject(tx.tx_id, *trio), trio[0])
+    lookups = [(patient.address, tx.tx_id, tx, k + 1) for k, tx in enumerate(txs)]
+    lookups += [
+        (patient.address, b"\x00" * 32, None, 3),  # a miss scans every entry
+        ("ghost", txs[0].tx_id, None, 0),  # no microblock to scan
+    ]
+    for patient_id, tx_id, found, cost in lookups:
+        before = chain.store_accesses
+        assert chain.find_patient_tx(patient_id, tx_id) == found
+        assert chain.store_accesses - before == cost
     before = chain.store_accesses
-    found = chain.find_patient_tx(patient.address, tx.tx_id)
-    assert found == tx
-    assert chain.store_accesses == before + 1  # one entry scanned
-    assert chain.find_patient_tx(patient.address, b"\x00" * 32) is None
-    assert chain.find_patient_tx("ghost", tx.tx_id) is None
+    assert len(retrieve_history(patient.address, chain)) == 3
+    assert chain.store_accesses - before == 4
+
+
+def test_history_reads_are_fresh_lists(world, group, trio):
+    chain, institution, patient = registered(world, group)
+    for _ in range(2):
+        tx = medical_tx(chain, institution, patient, group)
+        chain.append_to_microblock(patient.address, tx, pin_subject(tx.tx_id, *trio), trio[0])
+    microblock = chain.microblocks[patient.address]
+    first = retrieve_history(patient.address, chain)
+    expected = list(first)
+    first.reverse()
+    first.append(first[0])
+    second = retrieve_history(patient.address, chain)
+    assert second == expected
+    second.clear()
+    assert retrieve_history(patient.address, chain) == expected
+    assert chain.microblocks[patient.address] is microblock
+    assert [d.tx for d in expected] == list(microblock.txs)
+
+
+# -- the record index ----------------------------------------------------------
+
+
+def history_from_scratch(txs):
+    """(tx id, id of its newest label) per entry, resolved from the whole
+    entry list: the newest label for a target wins, and a chain of labels
+    stops at the first id met twice. The reference for the chain's record
+    index."""
+    labels_by_target = {}
+    for entry in txs:
+        if entry.tx_type is TxType.LABEL:
+            labels_by_target[entry.payload.target_tx_hash] = entry
+
+    def newest(entry):
+        seen = {entry.tx_id}
+        while entry.tx_id in labels_by_target:
+            entry = labels_by_target[entry.tx_id]
+            if entry.tx_id in seen:
+                break
+            seen.add(entry.tx_id)
+        return entry
+
+    return [(entry.tx_id, newest(entry).tx_id) for entry in txs]
+
+
+SLOT_IDS = [hashlib.sha256(b"slot/%d" % i).digest() for i in range(6)]
+NEVER_APPENDED = hashlib.sha256(b"never appended").digest()
+
+
+@pytest.fixture(scope="module")
+def index_world(group, trio):
+    """An institution, a patient with its register tx, a medical template
+    and a pinning certificate for each slot id, built once: examples
+    differ only in what they append."""
+    institution = setup_institution(b"index-hospital", group)
+    patient = setup_patient(b"index-alice")
+    reg = register(patient, institution, b"index-alice-id", group)
+    root = institution_root([institution.info_leaf], institution.ch_keys.hk, random.Random(3))
+    chain = ChainState(group)
+    chain.register_institution(institution.chain_info())
+    chain.register_patient(reg)
+    template = medical_tx(chain, institution, patient, group)
+    certs = {tx_id: pin_subject(tx_id, *trio) for tx_id in SLOT_IDS}
+
+    def fresh_chain():
+        chain = ChainState(group)
+        chain.register_institution(institution.chain_info())
+        chain.register_patient(reg)
+        chain.create_microblock(
+            MicroBlock(
+                owner_patient_id=patient.address, institution_root=root, txs=(),
+                creator_miner_id="m0", round_number=1, prev_hash=GENESIS_MICROBLOCK_HASH,
+            )
+        )
+        return chain
+
+    return fresh_chain, patient.address, template, certs
+
+
+def slot_tx(template, slot, kind):
+    """The transaction at ``slot``: a medical record when ``kind`` is None,
+    else a label of slot ``kind``, or of an id never appended when -1. Ids
+    are chosen, not hashed, so labels can form cycles."""
+    if kind is None:
+        return dataclasses.replace(template, tx_id=SLOT_IDS[slot])
+    payload = template.payload
+    label = LabelPayload(
+        receiver_id=payload.receiver_id,
+        target_tx_hash=NEVER_APPENDED if kind < 0 else SLOT_IDS[kind],
+        ch_digest=payload.ch_digest,
+        pointer=payload.pointer,
+        round_number=payload.round_number,
+    )
+    return Transaction(
+        tx_type=TxType.LABEL, payload=label, sender_pk=template.sender_pk,
+        fee=template.fee, signature=template.signature, tx_id=SLOT_IDS[slot],
+    )
+
+
+@st.composite
+def append_sequences(draw):
+    """Slot kinds (medical, label of a slot, label of a missing id) and an
+    append order over the slots, repeats allowed."""
+    n = draw(st.integers(1, len(SLOT_IDS)))
+    kinds = draw(st.lists(st.none() | st.integers(-1, n - 1), min_size=n, max_size=n))
+    order = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=14))
+    return kinds, order
+
+
+@settings(max_examples=200, deadline=None)
+@given(append_sequences())
+@example(([None, 0, 0, 1], [0, 1, 2, 3, 1]))  # re-label, label of a label, duplicate
+@example(([None, 0, 1, 2], [0, 1, 2, 3, 2]))  # a chain of three labels
+@example(([None, 0], [1, 0]))  # label appended before its target
+@example(([1, 0, None], [2, 0, 1, 0]))  # two labels of each other: a cycle
+@example(([-1, 0], [0, 1, 0]))  # missing target, then a label of the label
+@example(([0], [0, 0]))  # a label of itself, appended twice
+def test_record_index_matches_resolution_from_scratch(index_world, trio, spec):
+    fresh_chain, patient_id, template, certs = index_world
+    kinds, order = spec
+    chain = fresh_chain()
+    slots = [slot_tx(template, slot, kind) for slot, kind in enumerate(kinds)]
+    for slot in order:
+        tx = slots[slot]
+        chain.append_to_microblock(patient_id, tx, certs[tx.tx_id], trio[0])
+        got = [(d.tx.tx_id, d.current.tx_id) for d in chain.history_of(patient_id)]
+        assert got == history_from_scratch(chain.microblocks[patient_id].txs)
