@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .chain import ChainState, InstitutionInfo, RecordDescriptor
 from .chameleon import ChameleonKeys, ch_hash, ch_keygen, message_scalar
 from .envelope import SymmetricKey, seal_emr, symmetric_key_from_seed, unseal_layer
-from .group import BilinearGroup
+from .group import default_group
 from .signing import KeyPair, address_of, keypair_from_seed
 from .tx import (
     LabelPayload,
@@ -88,12 +88,7 @@ class InstitutionActor:
         return b"institution:" + self.address.encode() + b":" + self.keypair.public_key
 
     def chain_info(self) -> InstitutionInfo:
-        return InstitutionInfo(
-            institution_id=self.address,
-            public_key=self.keypair.public_key,
-            hk=self.ch_keys.hk,
-            info_leaf=self.info_leaf,
-        )
+        return InstitutionInfo(institution_id=self.address, hk=self.ch_keys.hk)
 
 
 def setup_patient(seed: bytes) -> PatientActor:
@@ -106,10 +101,10 @@ def setup_patient(seed: bytes) -> PatientActor:
     )
 
 
-def setup_institution(seed: bytes, group: BilinearGroup) -> InstitutionActor:
+def setup_institution(seed: bytes) -> InstitutionActor:
     keypair = keypair_from_seed(b"institution/" + seed)
     rng = random.Random(hashlib.sha256(b"institution-rng/" + seed).digest())
-    ch_keys = ch_keygen(group, rng)
+    ch_keys = ch_keygen(default_group(), rng)
     return InstitutionActor(
         sym_key=symmetric_key_from_seed(b"institution/" + seed),
         keypair=keypair,
@@ -127,7 +122,6 @@ def register(
     patient: PatientActor,
     institution: InstitutionActor,
     identity_info: bytes,
-    group: BilinearGroup,
     fee: int = 0,
 ) -> Transaction:
     """Emit the register transaction carrying the identity digest and fee."""
@@ -135,7 +129,7 @@ def register(
         receiver_id=institution.address,
         identity_digest=hashlib.sha256(identity_info).digest(),
     )
-    return build_tx(TxType.REGISTER, payload, patient.keypair, group, fee=fee)
+    return build_tx(TxType.REGISTER, payload, patient.keypair, fee=fee)
 
 
 def _seal_and_digest(
@@ -176,7 +170,6 @@ def upload(
         TxType.MEDICAL,
         payload,
         patient.keypair,
-        chain.group,
         fee=fee,
         receiver_hk=institution.ch_keys.hk,
     )
@@ -210,7 +203,6 @@ def label(
         TxType.LABEL,
         payload,
         patient.keypair,
-        chain.group,
         fee=fee,
         receiver_hk=institution.ch_keys.hk,
     )

@@ -24,7 +24,6 @@ from .chameleon import (
     encode_digest,
     message_scalar,
 )
-from .group import BilinearGroup
 from .tx import Transaction, TxType, decode_tx, encode_tx
 from .wire import DecodeError, Reader
 
@@ -133,7 +132,7 @@ class MicroBlock:
     tx_entries: tuple[bytes, ...] = field(default=(), compare=False, repr=False)
 
 
-def encode_keyblock(block: KeyBlock, group: BilinearGroup, include_cert: bool = True) -> bytes:
+def encode_keyblock(block: KeyBlock, include_cert: bool = True) -> bytes:
     out = (
         wire.u8(_KIND_KEYBLOCK)
         + wire.var_bytes(block.prev_keyblock_hash)
@@ -145,7 +144,7 @@ def encode_keyblock(block: KeyBlock, group: BilinearGroup, include_cert: bool = 
         + wire.u32(len(block.register_txs))
     )
     for tx in block.register_txs:
-        out += wire.var_bytes(encode_tx(tx, group))
+        out += wire.var_bytes(encode_tx(tx))
     if include_cert and block.pin_cert is not None:
         out += wire.u8(1) + encode_certificate(block.pin_cert)
     else:
@@ -153,24 +152,24 @@ def encode_keyblock(block: KeyBlock, group: BilinearGroup, include_cert: bool = 
     return out
 
 
-def _tx_entries(block: MicroBlock, group: BilinearGroup) -> tuple[bytes, ...]:
+def _tx_entries(block: MicroBlock) -> tuple[bytes, ...]:
     """Every transaction's entry: the stored ones, plus the transactions
-    past them encoded now under ``group`` and stored on the block."""
+    past them encoded now and stored on the block."""
     entries = block.tx_entries
     if len(entries) < len(block.txs):
         entries += tuple(
-            wire.var_bytes(encode_tx(tx, group)) for tx in block.txs[len(entries):]
+            wire.var_bytes(encode_tx(tx)) for tx in block.txs[len(entries):]
         )
         object.__setattr__(block, "tx_entries", entries)
     return entries
 
 
-def encode_microblock(block: MicroBlock, group: BilinearGroup) -> bytes:
-    entries = _tx_entries(block, group)
+def encode_microblock(block: MicroBlock) -> bytes:
+    entries = _tx_entries(block)
     return (
         wire.u8(_KIND_MICROBLOCK)
         + wire.var_str(block.owner_patient_id)
-        + encode_digest(block.institution_root, group)
+        + encode_digest(block.institution_root)
         + wire.var_str(block.creator_miner_id)
         + wire.u64(block.round_number)
         + wire.var_bytes(block.prev_hash)
@@ -179,34 +178,34 @@ def encode_microblock(block: MicroBlock, group: BilinearGroup) -> bytes:
     )
 
 
-def encode_block(block: "KeyBlock | MicroBlock", group: BilinearGroup) -> bytes:
+def encode_block(block: "KeyBlock | MicroBlock") -> bytes:
     if isinstance(block, KeyBlock):
-        return encode_keyblock(block, group)
-    return encode_microblock(block, group)
+        return encode_keyblock(block)
+    return encode_microblock(block)
 
 
-def decode_block(data: bytes, group: BilinearGroup) -> "KeyBlock | MicroBlock":
+def decode_block(data: bytes) -> "KeyBlock | MicroBlock":
     reader = Reader(data)
     kind = reader.u8()
     if kind == _KIND_KEYBLOCK:
-        block = _decode_keyblock_body(reader, group)
+        block = _decode_keyblock_body(reader)
     elif kind == _KIND_MICROBLOCK:
-        block = _decode_microblock_body(reader, group)
+        block = _decode_microblock_body(reader)
     else:
         raise DecodeError(f"unknown block kind {kind}", 0)
     reader.expect_end()
     return block
 
 
-def _decode_tx_entry(reader: Reader, group: BilinearGroup) -> Transaction:
+def _decode_tx_entry(reader: Reader) -> Transaction:
     raw = reader.var_bytes()
     inner = Reader(raw)
-    tx = decode_tx(inner, group)
+    tx = decode_tx(inner)
     inner.expect_end()
     return tx
 
 
-def _decode_keyblock_body(reader: Reader, group: BilinearGroup) -> KeyBlock:
+def _decode_keyblock_body(reader: Reader) -> KeyBlock:
     prev = reader.var_bytes()
     penu = reader.var_bytes()
     nonce = reader.u64()
@@ -216,7 +215,7 @@ def _decode_keyblock_body(reader: Reader, group: BilinearGroup) -> KeyBlock:
     n = reader.u32()
     txs = []
     for _ in range(n):
-        tx = _decode_tx_entry(reader, group)
+        tx = _decode_tx_entry(reader)
         if tx.tx_type is not TxType.REGISTER:
             raise DecodeError("keyblock may only contain register transactions", reader.pos)
         txs.append(tx)
@@ -233,9 +232,9 @@ def _decode_keyblock_body(reader: Reader, group: BilinearGroup) -> KeyBlock:
     )
 
 
-def _decode_microblock_body(reader: Reader, group: BilinearGroup) -> MicroBlock:
+def _decode_microblock_body(reader: Reader) -> MicroBlock:
     owner = reader.var_str()
-    root = decode_digest(reader, group)
+    root = decode_digest(reader)
     creator = reader.var_str()
     round_number = reader.u64()
     prev_hash = reader.var_bytes()
@@ -243,7 +242,7 @@ def _decode_microblock_body(reader: Reader, group: BilinearGroup) -> MicroBlock:
     txs, entries = [], []
     for _ in range(n):
         start = reader.pos
-        txs.append(_decode_tx_entry(reader, group))
+        txs.append(_decode_tx_entry(reader))
         entries.append(reader.data[start : reader.pos])
     return MicroBlock(
         owner_patient_id=owner,
@@ -256,14 +255,14 @@ def _decode_microblock_body(reader: Reader, group: BilinearGroup) -> MicroBlock:
     )
 
 
-def keyblock_hash(block: KeyBlock, group: BilinearGroup) -> bytes:
+def keyblock_hash(block: KeyBlock) -> bytes:
     """Hash of the keyblock content; the pin certificate (added after the
     fact) is excluded so the hash is stable across pinning."""
-    return hashlib.sha256(encode_keyblock(block, group, include_cert=False)).digest()
+    return hashlib.sha256(encode_keyblock(block, include_cert=False)).digest()
 
 
-def microblock_hash(block: MicroBlock, group: BilinearGroup) -> bytes:
-    return hashlib.sha256(encode_microblock(block, group)).digest()
+def microblock_hash(block: MicroBlock) -> bytes:
+    return hashlib.sha256(encode_microblock(block)).digest()
 
 
 # -- institution hash root (chameleon Merkle) ------------------------------

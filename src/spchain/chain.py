@@ -23,7 +23,6 @@ from .blocks import (
 )
 from .chameleon import ChameleonHashKey, ch_verify
 from .consensus import ConsensusGroup, check_certificate
-from .group import BilinearGroup
 from .mining import check_puzzle
 from .signing import address_of, verify_sig
 from .tx import (
@@ -45,22 +44,19 @@ BAD_PROOF = "BAD_PROOF"
 LABEL_TARGET_MISSING = "LABEL_TARGET_MISSING"
 BAD_ROUND = "BAD_ROUND"
 MALFORMED = "MALFORMED"
+DUPLICATE = "DUPLICATE"
 
 
 @dataclass(frozen=True)
 class InstitutionInfo:
     institution_id: str
-    public_key: bytes
     hk: ChameleonHashKey
-    info_leaf: bytes
 
 
 @dataclass(frozen=True)
 class PatientInfo:
     patient_id: str
-    public_key: bytes
     identity_digest: bytes
-    registration_round: int
     home_institution_id: str  # the register tx's receiver; the root is under its key
 
 
@@ -96,22 +92,26 @@ class _RecordIndex:
     The label rule lives here: the newest label for a target wins, and an
     entry resolves to the end of its chain of newest labels, stopping at
     the first id met twice. ``descriptors[p]`` is the entry at position
-    ``p`` with its chain resolved under every label appended so far."""
+    ``p`` with its chain resolved under every label appended so far; an id
+    is appended at most once, at ``positions[id]``."""
 
     def __init__(self) -> None:
-        self.positions: dict[bytes, list[int]] = {}
+        self.positions: dict[bytes, int] = {}
         self.newest_label: dict[bytes, Transaction] = {}
         self.descriptors: list[RecordDescriptor] = []
 
     def append(self, tx: Transaction) -> None:
-        self.positions.setdefault(tx.tx_id, []).append(len(self.descriptors))
+        if tx.tx_id in self.positions:
+            raise ValueError("transaction is already in the patient's microblock")
+        self.positions[tx.tx_id] = len(self.descriptors)
         if tx.tx_type is TxType.LABEL:
             self.newest_label[tx.payload.target_tx_hash] = tx
         self.descriptors.append(RecordDescriptor(tx, self._resolve(tx)))
         if tx.tx_type is TxType.LABEL:
             # only entries whose chain reaches the target can resolve anew
             for tx_id in self._back_walk(tx.payload.target_tx_hash):
-                for pos in self.positions.get(tx_id, ()):
+                pos = self.positions.get(tx_id)
+                if pos is not None:
                     entry = self.descriptors[pos].tx
                     self.descriptors[pos] = RecordDescriptor(entry, self._resolve(entry))
 
@@ -130,10 +130,10 @@ class _RecordIndex:
         walked: set[bytes] = set()
         while tx_id not in walked:
             walked.add(tx_id)
-            positions = self.positions.get(tx_id)
-            if positions is None:
+            pos = self.positions.get(tx_id)
+            if pos is None:
                 break
-            entry = self.descriptors[positions[0]].tx
+            entry = self.descriptors[pos].tx
             if entry.tx_type is not TxType.LABEL:
                 break
             target = entry.payload.target_tx_hash
@@ -144,8 +144,7 @@ class _RecordIndex:
 
 
 class ChainState:
-    def __init__(self, group: BilinearGroup):
-        self.group = group
+    def __init__(self) -> None:
         self.institutions: dict[str, InstitutionInfo] = {}
         self.patients: dict[str, PatientInfo] = {}
         self._patients_by_pk: dict[bytes, str] = {}
@@ -177,9 +176,7 @@ class ChainState:
         patient_id = address_of(tx.sender_pk)
         info = PatientInfo(
             patient_id=patient_id,
-            public_key=tx.sender_pk,
             identity_digest=payload.identity_digest,
-            registration_round=self.current_round,
             home_institution_id=payload.receiver_id,
         )
         self.patients[patient_id] = info
@@ -221,7 +218,7 @@ class ChainState:
     def add_pinned_keyblock(self, block: KeyBlock, group: ConsensusGroup) -> None:
         """Extend the pinned tip with ``block``, whose certificate must pin
         its hash in ``group`` (the group of the round it was pinned in)."""
-        digest = keyblock_hash(block, self.group)
+        digest = keyblock_hash(block)
         check_certificate(digest, block.pin_cert, group)
         if block.height != self.tip_height + 1 or block.prev_keyblock_hash != self.tip_hash:
             raise ValueError("keyblock does not extend the pinned tip")
@@ -254,12 +251,12 @@ class ChainState:
         cert: Optional[TxCertificate],
         group: ConsensusGroup,
     ) -> MicroBlock:
-        """Append ``tx``, whose certificate must pin its id in ``group``."""
+        """Append ``tx``, whose certificate must pin its id in ``group``
+        and whose id must be new to the microblock."""
         check_certificate(tx.tx_id, cert, group)
-        current = self.microblocks[patient_id]
-        updated = append_pinned_tx(current, tx)
-        self.microblocks[patient_id] = updated
+        updated = append_pinned_tx(self.microblocks[patient_id], tx)
         self._records[patient_id].append(tx)
+        self.microblocks[patient_id] = updated
         self._touch_microblock(updated)
         return updated
 
@@ -283,7 +280,7 @@ class ChainState:
             raise ValueError("institution root does not open under the home institution's key")
 
     def _touch_microblock(self, microblock: MicroBlock) -> None:
-        self._last_mb_hash[-1] = microblock_hash(microblock, self.group)
+        self._last_mb_hash[-1] = microblock_hash(microblock)
 
     # -- lookups ----------------------------------------------------------
 
@@ -296,25 +293,25 @@ class ChainState:
         return list(descriptors)
 
     def find_patient_tx(self, patient_id: str, tx_id: bytes) -> Optional[Transaction]:
-        """The first entry with ``tx_id`` in the patient's microblock.
-        Charged as a scan from the head: the entries up to a hit, all of
-        them on a miss."""
+        """The entry with ``tx_id`` in the patient's microblock. Charged as
+        a scan from the head: the entries up to a hit, all of them on a
+        miss."""
         records = self._records.get(patient_id)
         if records is None:
             return None
-        positions = records.positions.get(tx_id)
-        if positions is None:
+        pos = records.positions.get(tx_id)
+        if pos is None:
             self.store_accesses += len(records.descriptors)
             return None
-        self.store_accesses += positions[0] + 1
-        return records.descriptors[positions[0]].tx
+        self.store_accesses += pos + 1
+        return records.descriptors[pos].tx
 
     # -- validation ---------------------------------------------------------
 
     def validate_tx(self, tx: Transaction) -> tuple[bool, str]:
         """True plus OK, or False plus a machine-readable reason code."""
         try:
-            body = signing_bytes(tx.tx_type, tx.payload, tx.sender_pk, tx.fee, self.group)
+            body = signing_bytes(tx.tx_type, tx.payload, tx.sender_pk, tx.fee)
         except Exception:
             return False, MALFORMED
         if not verify_sig(body, tx.signature, tx.sender_pk):
@@ -337,6 +334,10 @@ class ChainState:
         patient_id = self._patients_by_pk.get(tx.sender_pk)
         if patient_id is None:
             return False, UNREGISTERED
+        records = self._records.get(patient_id)
+        if records is not None and tx.tx_id in records.positions:
+            # read the index directly: a replay check is not a store access
+            return False, DUPLICATE
 
         payload = tx.payload
         assert isinstance(payload, (MedicalPayload, LabelPayload))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .group import BilinearGroup
+from .group import BilinearGroup, default_group
 from .wire import DecodeError, Reader, u32
 
 PROOF_TAG = b"TRV1"
@@ -113,37 +113,38 @@ def message_scalar(data: bytes, group: BilinearGroup) -> int:
 
 
 # -- wire format: h || u32(len(proof)) || proof, proof = "TRV1" || R || m --
+# Every element is written in the default group's encoding: 32 bytes,
+# each value below DEFAULT_PRIME.
+
+_WIRE = default_group()
+_PROOF_LEN = len(PROOF_TAG) + 2 * _WIRE.element_width
 
 
-def _proof_len(group: BilinearGroup) -> int:
-    return len(PROOF_TAG) + 2 * group.element_width
-
-
-def encode_digest(digest: ChameleonDigest, group: BilinearGroup) -> bytes:
+def encode_digest(digest: ChameleonDigest) -> bytes:
     return (
-        group.encode_element(digest.h)
-        + u32(_proof_len(group))
+        _WIRE.encode_element(digest.h)
+        + u32(_PROOF_LEN)
         + PROOF_TAG
-        + group.encode_element(digest.witness)
-        + group.encode_element(digest.message)
+        + _WIRE.encode_element(digest.witness)
+        + _WIRE.encode_element(digest.message)
     )
 
 
-def _decode_element(reader: Reader, group: BilinearGroup) -> int:
+def _decode_element(reader: Reader) -> int:
     start = reader.pos
-    raw = reader.take(group.element_width)
+    raw = reader.take(_WIRE.element_width)
     try:
-        return group.decode_element(raw)
+        return _WIRE.decode_element(raw)
     except ValueError as exc:
         raise DecodeError(str(exc), start) from None
 
 
-def decode_digest(reader: Reader, group: BilinearGroup) -> ChameleonDigest:
-    h = _decode_element(reader, group)
+def decode_digest(reader: Reader) -> ChameleonDigest:
+    h = _decode_element(reader)
     start = reader.pos
-    if reader.u32() != _proof_len(group):
+    if reader.u32() != _PROOF_LEN:
         raise DecodeError("chameleon proof has the wrong length", start)
     if reader.take(len(PROOF_TAG)) != PROOF_TAG:
         raise DecodeError("unknown chameleon proof tag", start + 4)
-    witness = _decode_element(reader, group)
-    return ChameleonDigest(h=h, witness=witness, message=_decode_element(reader, group))
+    witness = _decode_element(reader)
+    return ChameleonDigest(h=h, witness=witness, message=_decode_element(reader))

@@ -1,15 +1,15 @@
-"""Bilinear-group arithmetic backend.
+"""Bilinear-group arithmetic for the chameleon hash.
 
-The default backend is a deterministic symmetric "toy" pairing over the
-additive groups Z_p with e(a, b) = a*b mod p. It is fast, exact and lets
-every redaction property be tested functionally (including exhaustively
-on small primes), but it is NOT cryptographically hard. The group object
-is passed around explicitly so a pairing-friendly curve backend with the
-same surface can replace it.
+The group is a deterministic symmetric "toy" pairing over the additive
+groups Z_p with e(a, b) = a*b mod p. It is fast, exact and lets every
+redaction property be tested functionally (including exhaustively on
+small primes), but it is NOT cryptographically hard. Only the chameleon
+arithmetic takes a group; everything on the wire uses the default group.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 
@@ -120,5 +120,8 @@ class BilinearGroup:
         return value
 
 
+@functools.cache
 def default_group() -> BilinearGroup:
+    """The full-width group, built once: its primality check costs
+    milliseconds, and a group is never mutated."""
     return BilinearGroup(DEFAULT_PRIME)

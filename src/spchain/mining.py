@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import wire
 from .blocks import KeyBlock, keyblock_hash
-from .group import BilinearGroup
 from .signing import KeyPair
 from .tx import Transaction
 
@@ -25,15 +24,6 @@ if TYPE_CHECKING:
     from .chain import ChainView
 
 HASH_BITS = 256
-
-
-@dataclass(frozen=True)
-class PuzzleInput:
-    prev_keyblock_hash: bytes
-    penu_microblock_hash: bytes
-    nonce: int
-    miner_public_key: bytes
-    target: int
 
 
 def target_from_zero_bits(zero_bits: int) -> int:
@@ -59,32 +49,16 @@ def puzzle_preimage(
     return prev_keyblock_hash + penu_microblock_hash + wire.u64(nonce) + miner_public_key
 
 
-def puzzle_value(puzzle: PuzzleInput) -> int:
-    preimage = puzzle_preimage(
-        puzzle.prev_keyblock_hash,
-        puzzle.penu_microblock_hash,
-        puzzle.nonce,
-        puzzle.miner_public_key,
-    )
-    return int.from_bytes(hashlib.sha256(preimage).digest(), "big")
-
-
-def solves(puzzle: PuzzleInput) -> bool:
-    return puzzle_value(puzzle) < puzzle.target
-
-
 def check_puzzle(block: KeyBlock) -> bool:
     """Pure recomputation of the mining inequality; malformed -> False."""
     try:
-        return solves(
-            PuzzleInput(
-                prev_keyblock_hash=block.prev_keyblock_hash,
-                penu_microblock_hash=block.penu_microblock_hash,
-                nonce=block.nonce,
-                miner_public_key=block.miner_public_key,
-                target=block.target,
-            )
+        preimage = puzzle_preimage(
+            block.prev_keyblock_hash,
+            block.penu_microblock_hash,
+            block.nonce,
+            block.miner_public_key,
         )
+        return int.from_bytes(hashlib.sha256(preimage).digest(), "big") < block.target
     except (TypeError, ValueError, OverflowError, AttributeError):
         return False
 
@@ -107,9 +81,10 @@ def mine_keyblock(
 ) -> MiningResult:
     """Search random nonces against the puzzle over the current view.
 
-    Each attempt is ``solves`` on ``puzzle_preimage(prev, penu, nonce, pk)``,
-    split at the nonce: the fixed ``prev || penu`` prefix is hashed once
-    and its state copied per attempt."""
+    Each attempt is ``check_puzzle``'s inequality on
+    ``puzzle_preimage(prev, penu, nonce, pk)``, split at the nonce: the
+    fixed ``prev || penu`` prefix is hashed once and its state copied per
+    attempt."""
     height = view.tip_height + 1
     prev = view.tip_hash
     penu = view.penu_microblock_hash
@@ -139,13 +114,13 @@ class ForkChoice(enum.Enum):
     ORPHAN = "orphan"
 
 
-def fork_choice(view: ChainView, candidate: KeyBlock, group: BilinearGroup) -> ForkChoice:
+def fork_choice(view: ChainView, candidate: KeyBlock) -> ForkChoice:
     """Pinned prefix is final: anything conflicting with it is invalid.
 
     Accept only extensions of the pinned tip; candidates extending an
     unpinned side branch are held as orphans until pinning resolves.
     """
-    candidate_hash = keyblock_hash(candidate, group)
+    candidate_hash = keyblock_hash(candidate)
     pinned_at_height = view.pinned_hash_at(candidate.height)
     if pinned_at_height is not None and pinned_at_height != candidate_hash:
         return ForkChoice.REJECT

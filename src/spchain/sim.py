@@ -44,7 +44,6 @@ from .blocks import (
 )
 from .chain import ALREADY_REGISTERED, ChainState
 from .consensus import ConsensusGroup, InsufficientQuorum, pin, pin_batch, select_group
-from .group import default_group
 from .metrics import MetricsRecord
 from .mining import ForkChoice, fork_choice, mine_keyblock, target_from_zero_bits
 from .reputation import (
@@ -99,19 +98,17 @@ class Simulation:
         config.validate()
         self.config = config
         self.rng = random.Random(config.seed)
-        self.group_params = default_group()
-        self.chain = ChainState(self.group_params)
+        self.chain = ChainState()
         self.fees = FeeSchedule()
         self.target = target_from_zero_bits(config.target_zero_bits)
 
         self.adversary = make_adversary(config)
         self.miners: list[InstitutionActor] = [
-            setup_institution(b"miner/%d" % i, self.group_params)
-            for i in range(config.miner_count)
+            setup_institution(b"miner/%d" % i) for i in range(config.miner_count)
         ]
         self.adv_miner: Optional[InstitutionActor] = None
         if self.adversary.joins_as_miner:
-            self.adv_miner = setup_institution(b"miner/adversary", self.group_params)
+            self.adv_miner = setup_institution(b"miner/adversary")
             self.adversary.miner_id = self.adv_miner.address
         elif self.adversary.kind != "none":
             # fraud and inhibition corrupt an existing institution
@@ -227,17 +224,13 @@ class Simulation:
             patient = setup_patient(b"patient/%d" % idx)
             home = self.miners[self.rng.randrange(len(self.miners))]
             self.patients[patient.address] = patient
-            tx = make_register(
-                patient, home, b"identity/%d" % idx, self.group_params, fee=self.fees.register_fee
-            )
+            tx = make_register(patient, home, b"identity/%d" % idx, fee=self.fees.register_fee)
             self.register_mempool.append(tx)
         for seed, identity in self.adversary.zombie_register_seeds(self.round_number):
             fraud_inst = self.institutions[self.adversary.miner_id]
             zombie = setup_patient(seed)
             self.patients[zombie.address] = zombie
-            tx = make_register(
-                zombie, fraud_inst, identity, self.group_params, fee=self.fees.register_fee
-            )
+            tx = make_register(zombie, fraud_inst, identity, fee=self.fees.register_fee)
             self.register_mempool.append(tx)
             self.fraud_fees_paid += self.fees.register_fee
 
@@ -355,7 +348,7 @@ class Simulation:
 
         adversary_blocks.extend(self.adversary.due_publications(self.round_number))
         for block in adversary_blocks:
-            verdict = fork_choice(self.chain.view(), block, self.group_params)
+            verdict = fork_choice(self.chain.view(), block)
             if verdict is ForkChoice.REJECT:
                 self.rejected_blocks += 1
                 self._mark_dishonest(self.adversary.miner_id)
@@ -366,12 +359,12 @@ class Simulation:
 
         candidates.sort(key=lambda entry: (entry[0], entry[1]))
         for _, miner_id, block in candidates:
-            if fork_choice(self.chain.view(), block, self.group_params) is ForkChoice.ACCEPT:
+            if fork_choice(self.chain.view(), block) is ForkChoice.ACCEPT:
                 return miner_id, block
         return None, None
 
     def _pin_keyblock(self, group: ConsensusGroup, miner_id: str, block: KeyBlock) -> bool:
-        digest = keyblock_hash(block, self.group_params)
+        digest = keyblock_hash(block)
         outcome = pin(digest, self._batch_votes(group, [digest], lambda _: [True]), group)
         if isinstance(outcome, InsufficientQuorum):
             return False
@@ -444,13 +437,17 @@ class Simulation:
 
         A label whose target was decided in this segment ends it: the label
         is valid only if that target is appended, so the segment is pinned
-        before the label is validated."""
+        before the label is validated. A repeat of an id decided in this
+        segment is invalid; the first copy keeps its submit round."""
         valid: list[Transaction] = []
         decided: set[bytes] = set()
         for tx in batch[pos:]:
             if tx.tx_type is TxType.LABEL and tx.payload.target_tx_hash in decided:
                 break
             pos += 1
+            if tx.tx_id in decided:
+                self.invalid_txs += 1
+                continue
             decided.add(tx.tx_id)
             ok, reason = self.chain.validate_tx(tx)
             if not ok:
@@ -601,9 +598,9 @@ class Simulation:
         pinned keyblocks and microblocks."""
         h = hashlib.sha256()
         for kb in self.chain.pinned_keyblocks:
-            h.update(keyblock_hash(kb, self.group_params))
+            h.update(keyblock_hash(kb))
         for patient_id in sorted(self.chain.microblocks):
-            h.update(microblock_hash(self.chain.microblocks[patient_id], self.group_params))
+            h.update(microblock_hash(self.chain.microblocks[patient_id]))
         return h.hexdigest()
 
     def summary(self) -> dict:

@@ -21,7 +21,6 @@ from .chameleon import (
     decode_digest,
     encode_digest,
 )
-from .group import BilinearGroup
 from .signing import KeyPair, sign
 from .wire import DecodeError, Reader
 
@@ -70,7 +69,7 @@ class Transaction:
     tx_id: bytes
 
 
-def _encode_payload(tx_type: TxType, payload: Payload, group: BilinearGroup) -> bytes:
+def _encode_payload(tx_type: TxType, payload: Payload) -> bytes:
     if tx_type is TxType.REGISTER:
         assert isinstance(payload, RegisterPayload)
         return wire.var_str(payload.receiver_id) + wire.var_bytes(payload.identity_digest)
@@ -78,7 +77,7 @@ def _encode_payload(tx_type: TxType, payload: Payload, group: BilinearGroup) -> 
         assert isinstance(payload, MedicalPayload)
         return (
             wire.var_str(payload.receiver_id)
-            + encode_digest(payload.ch_digest, group)
+            + encode_digest(payload.ch_digest)
             + wire.var_str(payload.pointer)
             + wire.u64(payload.round_number)
         )
@@ -86,13 +85,13 @@ def _encode_payload(tx_type: TxType, payload: Payload, group: BilinearGroup) -> 
     return (
         wire.var_str(payload.receiver_id)
         + wire.var_bytes(payload.target_tx_hash)
-        + encode_digest(payload.ch_digest, group)
+        + encode_digest(payload.ch_digest)
         + wire.var_str(payload.pointer)
         + wire.u64(payload.round_number)
     )
 
 
-def _decode_payload(tx_type: TxType, reader: Reader, group: BilinearGroup) -> Payload:
+def _decode_payload(tx_type: TxType, reader: Reader) -> Payload:
     if tx_type is TxType.REGISTER:
         return RegisterPayload(
             receiver_id=reader.var_str(), identity_digest=reader.var_bytes()
@@ -100,32 +99,30 @@ def _decode_payload(tx_type: TxType, reader: Reader, group: BilinearGroup) -> Pa
     if tx_type is TxType.MEDICAL:
         return MedicalPayload(
             receiver_id=reader.var_str(),
-            ch_digest=decode_digest(reader, group),
+            ch_digest=decode_digest(reader),
             pointer=reader.var_str(),
             round_number=reader.u64(),
         )
     return LabelPayload(
         receiver_id=reader.var_str(),
         target_tx_hash=reader.var_bytes(),
-        ch_digest=decode_digest(reader, group),
+        ch_digest=decode_digest(reader),
         pointer=reader.var_str(),
         round_number=reader.u64(),
     )
 
 
-def signing_bytes(
-    tx_type: TxType, payload: Payload, sender_pk: bytes, fee: int, group: BilinearGroup
-) -> bytes:
+def signing_bytes(tx_type: TxType, payload: Payload, sender_pk: bytes, fee: int) -> bytes:
     return (
         wire.u8(int(tx_type))
-        + _encode_payload(tx_type, payload, group)
+        + _encode_payload(tx_type, payload)
         + wire.var_bytes(sender_pk)
         + wire.u64(fee)
     )
 
 
-def encode_tx(tx: Transaction, group: BilinearGroup) -> bytes:
-    return signing_bytes(tx.tx_type, tx.payload, tx.sender_pk, tx.fee, group) + wire.var_bytes(
+def encode_tx(tx: Transaction) -> bytes:
+    return signing_bytes(tx.tx_type, tx.payload, tx.sender_pk, tx.fee) + wire.var_bytes(
         tx.signature
     )
 
@@ -134,14 +131,14 @@ def compute_tx_id(encoded: bytes) -> bytes:
     return hashlib.sha256(encoded).digest()
 
 
-def decode_tx(reader: Reader, group: BilinearGroup) -> Transaction:
+def decode_tx(reader: Reader) -> Transaction:
     start = reader.pos
     raw_type = reader.u8()
     try:
         tx_type = TxType(raw_type)
     except ValueError:
         raise DecodeError(f"unknown transaction type {raw_type}", start)
-    payload = _decode_payload(tx_type, reader, group)
+    payload = _decode_payload(tx_type, reader)
     sender_pk = reader.var_bytes()
     fee = reader.u64()
     signature = reader.var_bytes()
@@ -160,7 +157,6 @@ def build_tx(
     tx_type: TxType,
     payload: Payload,
     signing_key: KeyPair,
-    group: BilinearGroup,
     fee: int = 0,
     receiver_hk: Optional[ChameleonHashKey] = None,
 ) -> Transaction:
@@ -177,7 +173,7 @@ def build_tx(
             raise ValueError("chameleon digest does not verify")
     if tx_type is TxType.LABEL and len(payload.target_tx_hash) != TX_ID_LEN:  # type: ignore[union-attr]
         raise ValueError("label transaction needs a 32-byte target tx hash")
-    body = signing_bytes(tx_type, payload, signing_key.public_key, fee, group)
+    body = signing_bytes(tx_type, payload, signing_key.public_key, fee)
     signature = sign(body, signing_key)
     encoded = body + wire.var_bytes(signature)
     return Transaction(

@@ -69,18 +69,18 @@ def pin_subject(subject: bytes, consensus_group, keypairs) -> TxCertificate:
     return outcome
 
 
-def fresh_microblock_encoding(block: MicroBlock, group) -> bytes:
+def fresh_microblock_encoding(block: MicroBlock) -> bytes:
     """The microblock wire layout written out from ``block.txs``, each
     transaction encoded anew; the oracle for the stored entries."""
     out = (
         wire.u8(2)
         + wire.var_str(block.owner_patient_id)
-        + encode_digest(block.institution_root, group)
+        + encode_digest(block.institution_root)
         + wire.var_str(block.creator_miner_id)
         + wire.u64(block.round_number)
         + wire.var_bytes(block.prev_hash)
         + wire.u32(len(block.txs))
     )
     for tx in block.txs:
-        out += wire.var_bytes(encode_tx(tx, group))
+        out += wire.var_bytes(encode_tx(tx))
     return out

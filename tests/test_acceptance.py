@@ -308,26 +308,26 @@ def test_criterion_6_attack_suite():
     )
 
 
-def _workflow_chain(chain_length: int, group, trio):
+def _workflow_chain(chain_length: int, trio):
     """A patient lifecycle on top of a pinned chain of the given length."""
     consensus_group, keypairs = trio
-    chain = ChainState(group)
+    chain = ChainState()
     chain.current_round = 1
-    hospital = setup_institution(b"wf-hospital", group)
-    specialist = setup_institution(b"wf-specialist", group)
+    hospital = setup_institution(b"wf-hospital")
+    specialist = setup_institution(b"wf-specialist")
     chain.register_institution(hospital.chain_info())
     chain.register_institution(specialist.chain_info())
 
-    miner = setup_institution(b"wf-miner", group)
+    miner = setup_institution(b"wf-miner")
     rng = random.Random(1)
     target = target_from_zero_bits(0)
     for _ in range(chain_length):
         block = mine_keyblock(chain.view(), (), miner.keypair, target, 4, rng).block
-        cert = pin_subject(keyblock_hash(block, group), consensus_group, keypairs)
+        cert = pin_subject(keyblock_hash(block), consensus_group, keypairs)
         chain.add_pinned_keyblock(dataclasses.replace(block, pin_cert=cert), consensus_group)
 
     alice = setup_patient(b"wf-alice")
-    reg = register(alice, hospital, b"alice-identity", group, fee=2)
+    reg = register(alice, hospital, b"alice-identity", fee=2)
     assert chain.validate_tx(reg)[0]
     chain.register_patient(reg)
     chain.create_microblock(
@@ -363,7 +363,7 @@ def _workflow_chain(chain_length: int, group, trio):
     return chain, hospital, specialist, alice, records, label_tx, fix.record_id
 
 
-def test_criterion_7_workflow_replay_scales(group, trio):
+def test_criterion_7_workflow_replay_scales(trio):
     """The patient workflow replays identically on a short and a long
     chain, retrieval cost included, and plaintext stays confined. Under a
     minute."""
@@ -371,7 +371,7 @@ def test_criterion_7_workflow_replay_scales(group, trio):
     costs, snapshots = [], []
     for chain_length in (100, 1000):
         chain, hospital, specialist, alice, records, label_tx, fix_record_id = (
-            _workflow_chain(chain_length, group, trio)
+            _workflow_chain(chain_length, trio)
         )
         before = chain.store_accesses
         history = retrieve_history(alice.address, chain)

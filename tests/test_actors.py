@@ -24,14 +24,14 @@ PINNERS = signed_members((1.0, 1.0, 1.0))
 
 
 @pytest.fixture
-def clinic(group):
+def clinic():
     """A chain with one registered patient at one institution."""
-    chain = ChainState(group)
+    chain = ChainState()
     chain.current_round = 1
-    hospital = setup_institution(b"hospital-a", group)
+    hospital = setup_institution(b"hospital-a")
     chain.register_institution(hospital.chain_info())
     alice = setup_patient(b"alice")
-    reg = register(alice, hospital, b"alice-id-info", group, fee=2)
+    reg = register(alice, hospital, b"alice-id-info", fee=2)
     assert chain.validate_tx(reg)[0]
     chain.register_patient(reg)
     chain.create_microblock(
@@ -54,12 +54,12 @@ def pin_upload(chain, patient, tx):
     chain.append_to_microblock(patient.address, tx, cert, PINNERS[0])
 
 
-def test_setup_roles_and_determinism(group):
+def test_setup_roles_and_determinism():
     p1 = setup_patient(b"seed")
     p2 = setup_patient(b"seed")
     assert p1.address == p2.address
-    i1 = setup_institution(b"seed", group)
-    i2 = setup_institution(b"seed", group)
+    i1 = setup_institution(b"seed")
+    i2 = setup_institution(b"seed")
     assert i1.address == i2.address
     assert i1.ch_keys == i2.ch_keys
     assert p1.address != i1.address  # role-separated derivation
@@ -73,7 +73,7 @@ def test_off_chain_store_is_content_addressed():
     assert store.put(b"ciphertext") == pointer
 
 
-def test_upload_requires_registration(clinic, group):
+def test_upload_requires_registration(clinic):
     chain, hospital, _ = clinic
     stranger = setup_patient(b"bob")
     record = EmrRecord(b"x", hospital.address, stranger.address, 1)
@@ -81,7 +81,7 @@ def test_upload_requires_registration(clinic, group):
         upload(stranger, hospital, record, chain)
 
 
-def test_upload_seals_stores_and_validates(clinic, group):
+def test_upload_seals_stores_and_validates(clinic):
     chain, hospital, alice = clinic
     record = EmrRecord(b"blood panel", hospital.address, alice.address, 1)
     tx = upload(alice, hospital, record, chain, fee=1)
@@ -97,9 +97,9 @@ def test_upload_seals_stores_and_validates(clinic, group):
     assert record.record_id in hospital.plaintext_holdings
 
 
-def test_revisit_and_new_institution_follow_same_flow(clinic, group):
+def test_revisit_and_new_institution_follow_same_flow(clinic):
     chain, hospital, alice = clinic
-    clinic_b = setup_institution(b"clinic-b", group)
+    clinic_b = setup_institution(b"clinic-b")
     chain.register_institution(clinic_b.chain_info())
     for visit, inst in enumerate((hospital, hospital, clinic_b)):
         record = EmrRecord(b"visit %d" % visit, inst.address, alice.address, 1)
@@ -110,7 +110,7 @@ def test_revisit_and_new_institution_follow_same_flow(clinic, group):
     assert len(history) == 3
 
 
-def test_label_corrects_prior_record(clinic, group):
+def test_label_corrects_prior_record(clinic):
     chain, hospital, alice = clinic
     wrong = EmrRecord(b"misdiagnosis", hospital.address, alice.address, 1)
     wrong_tx = upload(alice, hospital, wrong, chain, fee=1)
@@ -128,9 +128,9 @@ def test_label_corrects_prior_record(clinic, group):
     assert by_id[label_tx.tx_id].current.tx_id == label_tx.tx_id
 
 
-def test_label_rejects_foreign_or_missing_targets(clinic, group):
+def test_label_rejects_foreign_or_missing_targets(clinic):
     chain, hospital, alice = clinic
-    other = setup_institution(b"clinic-b", group)
+    other = setup_institution(b"clinic-b")
     chain.register_institution(other.chain_info())
     record = EmrRecord(b"r", hospital.address, alice.address, 1)
     tx = upload(alice, hospital, record, chain, fee=1)
@@ -142,9 +142,9 @@ def test_label_rejects_foreign_or_missing_targets(clinic, group):
         label(alice, other, tx.tx_id, fix, chain)
 
 
-def test_share_dual_control(clinic, group):
+def test_share_dual_control(clinic):
     chain, hospital, alice = clinic
-    target = setup_institution(b"specialist", group)
+    target = setup_institution(b"specialist")
     chain.register_institution(target.chain_info())
     record = EmrRecord(b"scan results", hospital.address, alice.address, 1)
     tx = upload(alice, hospital, record, chain, fee=1)
@@ -155,9 +155,9 @@ def test_share_dual_control(clinic, group):
     assert record.record_id in target.plaintext_holdings
 
 
-def test_share_fails_closed_when_source_refuses(clinic, group):
+def test_share_fails_closed_when_source_refuses(clinic):
     chain, hospital, alice = clinic
-    target = setup_institution(b"specialist", group)
+    target = setup_institution(b"specialist")
     record = EmrRecord(b"scan results", hospital.address, alice.address, 1)
     tx = upload(alice, hospital, record, chain, fee=1)
     pin_upload(chain, alice, tx)
@@ -168,11 +168,11 @@ def test_share_fails_closed_when_source_refuses(clinic, group):
     assert record.record_id not in target.plaintext_holdings  # nothing leaked
 
 
-def test_share_validates_origin_and_ownership(clinic, group):
+def test_share_validates_origin_and_ownership(clinic):
     chain, hospital, alice = clinic
-    other = setup_institution(b"clinic-b", group)
+    other = setup_institution(b"clinic-b")
     chain.register_institution(other.chain_info())
-    target = setup_institution(b"specialist", group)
+    target = setup_institution(b"specialist")
     record = EmrRecord(b"r", hospital.address, alice.address, 1)
     tx = upload(alice, hospital, record, chain, fee=1)
     pin_upload(chain, alice, tx)
@@ -182,7 +182,7 @@ def test_share_validates_origin_and_ownership(clinic, group):
         share(alice, other, target, [tx.tx_id], chain)
 
 
-def test_retrieval_cost_tracks_own_history_only(clinic, group):
+def test_retrieval_cost_tracks_own_history_only(clinic):
     chain, hospital, alice = clinic
     for i in range(4):
         record = EmrRecord(b"r%d" % i, hospital.address, alice.address, 1)

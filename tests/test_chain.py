@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from spchain import chain as chain_mod
 from spchain.actors import (
     EmrRecord,
+    label,
     register,
     retrieve_history,
     setup_institution,
@@ -32,18 +33,18 @@ from tests.conftest import pin_subject, signed_members
 
 
 @pytest.fixture
-def world(group):
-    chain = ChainState(group)
+def world():
+    chain = ChainState()
     chain.current_round = 1
-    institution = setup_institution(b"hospital", group)
+    institution = setup_institution(b"hospital")
     chain.register_institution(institution.chain_info())
     patient = setup_patient(b"alice")
     return chain, institution, patient
 
 
-def registered(world, group):
+def registered(world):
     chain, institution, patient = world
-    tx = register(patient, institution, b"alice-id", group, fee=2)
+    tx = register(patient, institution, b"alice-id", fee=2)
     chain.register_patient(tx)
     root = institution_root([institution.info_leaf], institution.ch_keys.hk, random.Random(1))
     chain.create_microblock(
@@ -59,7 +60,7 @@ def registered(world, group):
     return chain, institution, patient
 
 
-def make_keyblock(chain, group, height=None, prev=None):
+def make_keyblock(chain, height=None, prev=None):
     """A keyblock mined on the chain's view, or on the view moved to
     ``height`` and ``prev``."""
     view = chain.view()
@@ -72,31 +73,31 @@ def make_keyblock(chain, group, height=None, prev=None):
     return mine_keyblock(view, (), miner, 1 << 255, 64, random.Random(7)).block
 
 
-def pinned(block, group, pinners):
-    return dataclasses.replace(block, pin_cert=pin_subject(keyblock_hash(block, group), *pinners))
+def pinned(block, pinners):
+    return dataclasses.replace(block, pin_cert=pin_subject(keyblock_hash(block), *pinners))
 
 
 # -- keyblock growth -----------------------------------------------------------
 
 
-def test_add_pinned_keyblock_extends_tip(world, group, trio):
+def test_add_pinned_keyblock_extends_tip(world, trio):
     chain, _, _ = world
-    block = make_keyblock(chain, group)
-    digest = keyblock_hash(block, group)
-    chain.add_pinned_keyblock(pinned(block, group, trio), trio[0])
+    block = make_keyblock(chain)
+    digest = keyblock_hash(block)
+    chain.add_pinned_keyblock(pinned(block, trio), trio[0])
     assert chain.tip_height == 1
     assert chain.tip_hash == digest
 
 
-def test_add_rejects_unpinned_and_mismatched(world, group, trio):
+def test_add_rejects_unpinned_and_mismatched(world, trio):
     chain, _, _ = world
-    block = make_keyblock(chain, group)
+    block = make_keyblock(chain)
     with pytest.raises(ValueError, match="not pinned"):
         chain.add_pinned_keyblock(block, trio[0])
     wrong_subject = dataclasses.replace(block, pin_cert=pin_subject(b"\x00" * 32, *trio))
     with pytest.raises(ValueError, match="does not reach the batch root"):
         chain.add_pinned_keyblock(wrong_subject, trio[0])
-    stale = pinned(make_keyblock(chain, group, height=5), group, trio)
+    stale = pinned(make_keyblock(chain, height=5), trio)
     with pytest.raises(ValueError, match="does not extend"):
         chain.add_pinned_keyblock(stale, trio[0])
 
@@ -152,18 +153,18 @@ def with_nonce(block, solves: bool):
 
 
 @pytest.mark.parametrize("row", list(CERTIFICATE_ROWS) + list(KEYBLOCK_ROWS))
-def test_chain_rejects_tampered_keyblock(world, group, row):
+def test_chain_rejects_tampered_keyblock(world, row):
     chain, _, _ = world
-    block = make_keyblock(chain, group)
-    subject = keyblock_hash(block, group)
+    block = make_keyblock(chain)
+    subject = keyblock_hash(block)
     if row == "certificate over another keyblock":
-        subject = keyblock_hash(make_keyblock(chain, group, prev=b"\x01" * 32), group)
+        subject = keyblock_hash(make_keyblock(chain, prev=b"\x01" * 32))
     elif row == "nonce does not solve":
         block = with_nonce(block, solves=False)
-        subject = keyblock_hash(block, group)
+        subject = keyblock_hash(block)
     elif row == "wrong penu":
         block = with_nonce(dataclasses.replace(block, penu_microblock_hash=b"\x00" * 32), True)
-        subject = keyblock_hash(block, group)
+        subject = keyblock_hash(block)
     cert = tampered(row, pin_subject(subject, *HEAVY))
     reason = CERTIFICATE_ROWS.get(row) or KEYBLOCK_ROWS[row]
     with pytest.raises(ValueError, match=reason):
@@ -172,9 +173,9 @@ def test_chain_rejects_tampered_keyblock(world, group, row):
 
 
 @pytest.mark.parametrize("row", list(CERTIFICATE_ROWS))
-def test_chain_rejects_tampered_tx_certificate(world, group, row):
-    chain, institution, patient = registered(world, group)
-    tx = medical_tx(chain, institution, patient, group)
+def test_chain_rejects_tampered_tx_certificate(world, row):
+    chain, institution, patient = registered(world)
+    tx = medical_tx(chain, institution, patient)
     cert = pin_subject(tx.tx_id, *HEAVY)
     with pytest.raises(ValueError, match=CERTIFICATE_ROWS[row]):
         chain.append_to_microblock(patient.address, tx, tampered(row, cert), HEAVY[0])
@@ -183,22 +184,22 @@ def test_chain_rejects_tampered_tx_certificate(world, group, row):
     assert chain.microblocks[patient.address].txs == (tx,)
 
 
-def test_forged_keyblock_is_rejected(world, group):
+def test_forged_keyblock_is_rejected(world):
     """The forgery an earlier chain accepted at height 1: one signer from
     outside the group, a target no nonce meets and a zeroed penu."""
     chain, _, _ = world
     block = dataclasses.replace(
-        make_keyblock(chain, group), target=1, penu_microblock_hash=b"\x00" * 32
+        make_keyblock(chain), target=1, penu_microblock_hash=b"\x00" * 32
     )
-    cert = tampered("signer not in the group", pin_subject(keyblock_hash(block, group), *HEAVY))
+    cert = tampered("signer not in the group", pin_subject(keyblock_hash(block), *HEAVY))
     forged = dataclasses.replace(cert, signers=cert.signers[-1:])
     with pytest.raises(ValueError, match="not a group member"):
         chain.add_pinned_keyblock(dataclasses.replace(block, pin_cert=forged), HEAVY[0])
     assert chain.tip_height == 0
 
 
-def test_penu_microblock_hash_rules(world, group):
-    chain, institution, patient = registered(world, group)
+def test_penu_microblock_hash_rules(world):
+    chain, institution, patient = registered(world)
     # heights 1 and 2 fall back to the genesis constant
     assert chain.penu_microblock_hash_for(1) == GENESIS_MICROBLOCK_HASH
     assert chain.penu_microblock_hash_for(2) == GENESIS_MICROBLOCK_HASH
@@ -209,31 +210,31 @@ def test_penu_microblock_hash_rules(world, group):
     assert chain.last_microblock_hash(9) == chain.last_microblock_hash(1)
 
 
-def pin_next(chain, group, trio):
-    block = pinned(make_keyblock(chain, group), group, trio)
+def pin_next(chain, trio):
+    block = pinned(make_keyblock(chain), trio)
     chain.add_pinned_keyblock(block, trio[0])
     return block
 
 
-def test_view_reads_pinned_hashes_by_height(world, group, trio):
+def test_view_reads_pinned_hashes_by_height(world, trio):
     chain, _, _ = world
-    blocks = [pin_next(chain, group, trio) for _ in range(4)]
+    blocks = [pin_next(chain, trio) for _ in range(4)]
     view = chain.view()
     assert view.tip_height == 4
     for h, block in enumerate(blocks, start=1):
         assert block.height == h
-        assert view.pinned_hash_at(h) == keyblock_hash(block, group)
+        assert view.pinned_hash_at(h) == keyblock_hash(block)
     assert view.pinned_hash_at(0) is None
     assert view.pinned_hash_at(5) is None
 
 
-def test_view_is_a_snapshot(world, group, trio):
+def test_view_is_a_snapshot(world, trio):
     chain, _, _ = world
     for _ in range(2):
-        pin_next(chain, group, trio)
+        pin_next(chain, trio)
     tip_hash = chain.tip_hash
     before = chain.view()
-    pin_next(chain, group, trio)
+    pin_next(chain, trio)
     assert chain.tip_hash != tip_hash
     assert (before.tip_height, before.tip_hash) == (2, tip_hash)
     assert before.pinned_hash_at(2) == tip_hash
@@ -241,19 +242,19 @@ def test_view_is_a_snapshot(world, group, trio):
     assert chain.view().pinned_hash_at(3) == chain.tip_hash
 
 
-def test_last_microblock_hash_carries_forward(world, group, trio):
+def test_last_microblock_hash_carries_forward(world, trio):
     chain, institution, patient = world
     touched = {}  # keyblock height -> hash of the last microblock touched there
-    pin_next(chain, group, trio)
-    registered(world, group)
-    touched[1] = microblock_hash(chain.microblocks[patient.address], group)
+    pin_next(chain, trio)
+    registered(world)
+    touched[1] = microblock_hash(chain.microblocks[patient.address])
     for _ in range(2):
-        pin_next(chain, group, trio)
-    tx = medical_tx(chain, institution, patient, group)
+        pin_next(chain, trio)
+    tx = medical_tx(chain, institution, patient)
     chain.append_to_microblock(patient.address, tx, pin_subject(tx.tx_id, *trio), trio[0])
-    touched[3] = microblock_hash(chain.microblocks[patient.address], group)
+    touched[3] = microblock_hash(chain.microblocks[patient.address])
     for _ in range(2):
-        pin_next(chain, group, trio)
+        pin_next(chain, trio)
     assert chain.tip_height == 5
 
     def walk_back(height):
@@ -271,7 +272,7 @@ def test_last_microblock_hash_carries_forward(world, group, trio):
 # -- validation reason codes -----------------------------------------------------
 
 
-def medical_tx(chain, institution, patient, group, round_number=1, receiver=None):
+def medical_tx(chain, institution, patient, round_number=1, receiver=None):
     record = EmrRecord(
         plaintext=b"report", institution_id=institution.address,
         patient_id=patient.address, creation_round=round_number,
@@ -284,28 +285,28 @@ def medical_tx(chain, institution, patient, group, round_number=1, receiver=None
             round_number=round_number,
         )
         tx = build_tx(
-            TxType.MEDICAL, payload, patient.keypair, group,
+            TxType.MEDICAL, payload, patient.keypair,
             fee=1, receiver_hk=institution.ch_keys.hk,
         )
     return tx
 
 
-def test_validate_ok(world, group):
-    chain, institution, patient = registered(world, group)
-    tx = medical_tx(chain, institution, patient, group)
+def test_validate_ok(world):
+    chain, institution, patient = registered(world)
+    tx = medical_tx(chain, institution, patient)
     assert chain.validate_tx(tx) == (True, chain_mod.OK)
 
 
-def test_validate_bad_signature(world, group):
-    chain, institution, patient = registered(world, group)
-    tx = medical_tx(chain, institution, patient, group)
+def test_validate_bad_signature(world):
+    chain, institution, patient = registered(world)
+    tx = medical_tx(chain, institution, patient)
     forged = dataclasses.replace(tx, fee=tx.fee + 1)  # body changed under the signature
     assert chain.validate_tx(forged) == (False, chain_mod.BAD_SIGNATURE)
 
 
-def test_validate_unknown_institution(world, group):
-    chain, institution, patient = registered(world, group)
-    tx = medical_tx(chain, institution, patient, group, receiver="nobody")
+def test_validate_unknown_institution(world):
+    chain, institution, patient = registered(world)
+    tx = medical_tx(chain, institution, patient, receiver="nobody")
     ok, reason = chain.validate_tx(tx)
     assert (ok, reason) == (False, chain_mod.UNKNOWN_INSTITUTION)
 
@@ -319,37 +320,37 @@ def test_validate_unregistered_sender(world, group):
         pointer="ab" * 32,
         round_number=1,
     )
-    tx = build_tx(TxType.MEDICAL, payload, patient.keypair, group, fee=1, receiver_hk=hk)
+    tx = build_tx(TxType.MEDICAL, payload, patient.keypair, fee=1, receiver_hk=hk)
     assert chain.validate_tx(tx) == (False, chain_mod.UNREGISTERED)
 
 
-def test_validate_double_registration(world, group):
-    chain, institution, patient = registered(world, group)
-    replay = register(patient, institution, b"alice-id", group, fee=2)
+def test_validate_double_registration(world):
+    chain, institution, patient = registered(world)
+    replay = register(patient, institution, b"alice-id", fee=2)
     assert chain.validate_tx(replay) == (False, chain_mod.ALREADY_REGISTERED)
     # same identity material under a fresh keypair is also refused
     imposter = setup_patient(b"mallory")
-    clone = register(imposter, institution, b"alice-id", group, fee=2)
+    clone = register(imposter, institution, b"alice-id", fee=2)
     assert chain.validate_tx(clone) == (False, chain_mod.ALREADY_REGISTERED)
 
 
-def test_validate_future_round(world, group):
-    chain, institution, patient = registered(world, group)
-    tx = medical_tx(chain, institution, patient, group, round_number=99)
+def test_validate_future_round(world):
+    chain, institution, patient = registered(world)
+    tx = medical_tx(chain, institution, patient, round_number=99)
     assert chain.validate_tx(tx) == (False, chain_mod.BAD_ROUND)
 
 
-def test_validate_bad_proof(world, group):
-    chain, institution, patient = registered(world, group)
-    other = setup_institution(b"other-hospital", group)
+def test_validate_bad_proof(world):
+    chain, institution, patient = registered(world)
+    other = setup_institution(b"other-hospital")
     chain.register_institution(other.chain_info())
-    tx = medical_tx(chain, institution, patient, group)
+    tx = medical_tx(chain, institution, patient)
     # reroute to an institution whose hash key never saw this digest;
     # build_tx would refuse, so assemble the signed tx manually
     rerouted_payload = dataclasses.replace(tx.payload, receiver_id=other.address)
     from spchain.tx import Transaction, compute_tx_id, signing_bytes
     from spchain import wire
-    body = signing_bytes(TxType.MEDICAL, rerouted_payload, patient.keypair.public_key, 1, group)
+    body = signing_bytes(TxType.MEDICAL, rerouted_payload, patient.keypair.public_key, 1)
     sig = sign(body, patient.keypair)
     encoded = body + wire.var_bytes(sig)
     bad = Transaction(
@@ -360,10 +361,10 @@ def test_validate_bad_proof(world, group):
     assert chain.validate_tx(bad) == (False, chain_mod.BAD_PROOF)
 
 
-def test_validate_label_target_missing(world, group):
-    chain, institution, patient = registered(world, group)
+def test_validate_label_target_missing(world):
+    chain, institution, patient = registered(world)
     from spchain.tx import LabelPayload
-    med = medical_tx(chain, institution, patient, group)
+    med = medical_tx(chain, institution, patient)
     payload = LabelPayload(
         receiver_id=institution.address,
         target_tx_hash=b"\x07" * 32,
@@ -371,15 +372,33 @@ def test_validate_label_target_missing(world, group):
         pointer=med.payload.pointer,
         round_number=1,
     )
-    tx = build_tx(TxType.LABEL, payload, patient.keypair, group, fee=1,
+    tx = build_tx(TxType.LABEL, payload, patient.keypair, fee=1,
                   receiver_hk=institution.ch_keys.hk)
     assert chain.validate_tx(tx) == (False, chain_mod.LABEL_TARGET_MISSING)
+
+
+def test_validate_replay_after_pin_is_duplicate(world, trio):
+    """A pinned medical or label tx replayed is refused as DUPLICATE, by an
+    index read that charges no store access, and cannot be appended again."""
+    chain, institution, patient = registered(world)
+    med = medical_tx(chain, institution, patient)
+    chain.append_to_microblock(patient.address, med, pin_subject(med.tx_id, *trio), trio[0])
+    fixed = EmrRecord(b"fixed", institution.address, patient.address, 1)
+    lab = label(patient, institution, med.tx_id, fixed, chain)
+    chain.append_to_microblock(patient.address, lab, pin_subject(lab.tx_id, *trio), trio[0])
+    microblock, accesses = chain.microblocks[patient.address], chain.store_accesses
+    for tx in (med, lab):
+        assert chain.validate_tx(tx) == (False, chain_mod.DUPLICATE)
+        with pytest.raises(ValueError, match="already in the patient's microblock"):
+            chain.append_to_microblock(patient.address, tx, pin_subject(tx.tx_id, *trio), trio[0])
+    assert chain.microblocks[patient.address] is microblock
+    assert chain.store_accesses == accesses
 
 
 # -- microblock bookkeeping --------------------------------------------------------
 
 
-def test_create_microblock_requires_registration(world, group):
+def test_create_microblock_requires_registration(world):
     chain, institution, patient = world
     root = institution_root([institution.info_leaf], institution.ch_keys.hk, random.Random(2))
     block = MicroBlock(
@@ -390,16 +409,16 @@ def test_create_microblock_requires_registration(world, group):
         chain.create_microblock(block)
 
 
-def test_one_microblock_per_patient(world, group):
-    chain, institution, patient = registered(world, group)
+def test_one_microblock_per_patient(world):
+    chain, institution, patient = registered(world)
     existing = chain.microblocks[patient.address]
     with pytest.raises(ValueError, match="already owns"):
         chain.create_microblock(existing)
 
 
-def test_replace_microblock_changes_only_the_root_opening(world, group, trio):
-    chain, institution, patient = registered(world, group)
-    tx = medical_tx(chain, institution, patient, group)
+def test_replace_microblock_changes_only_the_root_opening(world, trio):
+    chain, institution, patient = registered(world)
+    tx = medical_tx(chain, institution, patient)
     current = chain.append_to_microblock(
         patient.address, tx, pin_subject(tx.tx_id, *trio), trio[0]
     )
@@ -424,12 +443,12 @@ def test_replace_microblock_changes_only_the_root_opening(world, group, trio):
 
 def test_root_opening_must_verify_under_the_home_key(world, group, trio):
     chain, institution, patient = world
-    chain.register_patient(register(patient, institution, b"alice-id", group))
+    chain.register_patient(register(patient, institution, b"alice-id"))
     hk = institution.ch_keys.hk
     root = institution_root([institution.info_leaf], hk, random.Random(1))
     wrong_witness = dataclasses.replace(root, witness=(root.witness + 1) % group.p)
     wrong_message = dataclasses.replace(root, message=(root.message + 1) % group.p)
-    clinic = setup_institution(b"clinic", group)
+    clinic = setup_institution(b"clinic")
     chain.register_institution(clinic.chain_info())
     foreign = institution_root([institution.info_leaf], clinic.ch_keys.hk, random.Random(1))
 
@@ -451,11 +470,11 @@ def test_root_opening_must_verify_under_the_home_key(world, group, trio):
         assert chain.microblocks[patient.address] is current
 
 
-def test_append_and_lookup_counts_accesses(world, group, trio):
+def test_append_and_lookup_counts_accesses(world, trio):
     """A lookup is charged as a scan from the microblock's head and a
     history read as one fetch plus one read per entry."""
-    chain, institution, patient = registered(world, group)
-    txs = [medical_tx(chain, institution, patient, group) for _ in range(3)]
+    chain, institution, patient = registered(world)
+    txs = [medical_tx(chain, institution, patient) for _ in range(3)]
     assert len({tx.tx_id for tx in txs}) == 3
     for tx in txs:
         chain.append_to_microblock(patient.address, tx, pin_subject(tx.tx_id, *trio), trio[0])
@@ -473,10 +492,10 @@ def test_append_and_lookup_counts_accesses(world, group, trio):
     assert chain.store_accesses - before == 4
 
 
-def test_history_reads_are_fresh_lists(world, group, trio):
-    chain, institution, patient = registered(world, group)
+def test_history_reads_are_fresh_lists(world, trio):
+    chain, institution, patient = registered(world)
     for _ in range(2):
-        tx = medical_tx(chain, institution, patient, group)
+        tx = medical_tx(chain, institution, patient)
         chain.append_to_microblock(patient.address, tx, pin_subject(tx.tx_id, *trio), trio[0])
     microblock = chain.microblocks[patient.address]
     first = retrieve_history(patient.address, chain)
@@ -521,22 +540,22 @@ NEVER_APPENDED = hashlib.sha256(b"never appended").digest()
 
 
 @pytest.fixture(scope="module")
-def index_world(group, trio):
+def index_world(trio):
     """An institution, a patient with its register tx, a medical template
     and a pinning certificate for each slot id, built once: examples
     differ only in what they append."""
-    institution = setup_institution(b"index-hospital", group)
+    institution = setup_institution(b"index-hospital")
     patient = setup_patient(b"index-alice")
-    reg = register(patient, institution, b"index-alice-id", group)
+    reg = register(patient, institution, b"index-alice-id")
     root = institution_root([institution.info_leaf], institution.ch_keys.hk, random.Random(3))
-    chain = ChainState(group)
+    chain = ChainState()
     chain.register_institution(institution.chain_info())
     chain.register_patient(reg)
-    template = medical_tx(chain, institution, patient, group)
+    template = medical_tx(chain, institution, patient)
     certs = {tx_id: pin_subject(tx_id, *trio) for tx_id in SLOT_IDS}
 
     def fresh_chain():
-        chain = ChainState(group)
+        chain = ChainState()
         chain.register_institution(institution.chain_info())
         chain.register_patient(reg)
         chain.create_microblock(
@@ -595,6 +614,15 @@ def test_record_index_matches_resolution_from_scratch(index_world, trio, spec):
     slots = [slot_tx(template, slot, kind) for slot, kind in enumerate(kinds)]
     for slot in order:
         tx = slots[slot]
+        before = chain.history_of(patient_id)
+        microblock = chain.microblocks[patient_id]
+        if tx in microblock.txs:
+            # a duplicate append raises and leaves the history as it was
+            with pytest.raises(ValueError, match="already in the patient's microblock"):
+                chain.append_to_microblock(patient_id, tx, certs[tx.tx_id], trio[0])
+            assert chain.history_of(patient_id) == before
+            assert chain.microblocks[patient_id] is microblock
+            continue
         chain.append_to_microblock(patient_id, tx, certs[tx.tx_id], trio[0])
         got = [(d.tx.tx_id, d.current.tx_id) for d in chain.history_of(patient_id)]
         assert got == history_from_scratch(chain.microblocks[patient_id].txs)

@@ -15,7 +15,7 @@ from spchain.chameleon import (
     encode_digest,
     message_scalar,
 )
-from spchain.group import BilinearGroup, default_group
+from spchain.group import DEFAULT_PRIME, BilinearGroup, default_group
 from spchain.wire import DecodeError, Reader
 
 
@@ -124,7 +124,7 @@ def test_digest_wire_format_is_h_len_proof(group):
     collided = ch_collide(keys.tk, keys.hk, hashed, 999)
     w = group.element_width
     for digest in (hashed, collided):
-        encoded = encode_digest(digest, group)
+        encoded = encode_digest(digest)
         assert encoded == (
             group.encode_element(digest.h)
             + (4 + 2 * w).to_bytes(4, "big")
@@ -133,25 +133,32 @@ def test_digest_wire_format_is_h_len_proof(group):
             + group.encode_element(digest.message)
         )
         reader = Reader(encoded)
-        decoded = decode_digest(reader, group)
+        decoded = decode_digest(reader)
         reader.expect_end()
         assert decoded == digest
         assert ch_verify(keys.hk, decoded)
 
 
+def element(value: int) -> bytes:
+    """A wire element: 32 bytes, as the default group writes it."""
+    return value.to_bytes(32, "big")
+
+
 def worked_encoding(small_group):
     """The worked digest's bytes, its proof, and a helper that frames
-    another proof after the same h."""
+    another proof after the same h. The wire writes its elements 32 bytes
+    wide, whatever group hashed it."""
     hk, _ = worked_key(small_group)
     digest = ch_hash(hk, m=3, r=10)
-    encoded = encode_digest(digest, small_group)
-    h, proof = encoded[:1], encoded[5:]
-    assert proof == PROOF_TAG + bytes([10, 3])
+    encoded = encode_digest(digest)
+    h, proof = encoded[:32], encoded[36:]
+    assert h == element(85)
+    assert proof == PROOF_TAG + element(10) + element(3)
 
     def with_proof(body: bytes) -> bytes:
         return h + len(body).to_bytes(4, "big") + body
 
-    assert decode_digest(Reader(with_proof(proof)), small_group) == digest
+    assert decode_digest(Reader(with_proof(proof))) == digest
     return hk, encoded, proof, with_proof
 
 
@@ -161,8 +168,8 @@ def test_malformed_proofs_verify_false(small_group):
     hk, _, proof, with_proof = worked_encoding(small_group)
     for bad in (b"", b"XXXX" + proof[4:], proof + b"\x00"):
         with pytest.raises(DecodeError):
-            decode_digest(Reader(with_proof(bad)), small_group)
-    wrong = decode_digest(Reader(with_proof(PROOF_TAG + bytes([11, 3]))), small_group)
+            decode_digest(Reader(with_proof(bad)))
+    wrong = decode_digest(Reader(with_proof(PROOF_TAG + element(11) + element(3))))
     assert not ch_verify(hk, wrong)
 
 
@@ -174,14 +181,14 @@ def test_decode_digest_with_opaque_proof_never_verifies(group):
     h = group.encode_element(digest.h)
     junk = h + (4).to_bytes(4, "big") + b"junk"
     with pytest.raises(DecodeError):
-        decode_digest(Reader(junk), group)
+        decode_digest(Reader(junk))
     rng = random.Random(7)
     for _ in range(20):
         body = PROOF_TAG + b"".join(
             group.encode_element(rng.randrange(group.p)) for _ in range(2)
         )
         opaque = h + len(body).to_bytes(4, "big") + body
-        decoded = decode_digest(Reader(opaque), group)
+        decoded = decode_digest(Reader(opaque))
         assert decoded.h == digest.h
         assert not ch_verify(keys.hk, decoded)
 
@@ -193,12 +200,12 @@ def test_malformed_proofs_raise_decode_error(small_group):
         with_proof(b"XXXX" + proof[4:]),
         with_proof(proof[:-1]),
         with_proof(proof + b"\x00"),
-        with_proof(PROOF_TAG + bytes([101, 3])),  # witness >= p
-        with_proof(PROOF_TAG + bytes([10, 255])),  # message >= p
-        bytes([101]) + encoded[1:],  # h >= p
+        with_proof(PROOF_TAG + element(DEFAULT_PRIME) + element(3)),  # witness >= p
+        with_proof(PROOF_TAG + element(10) + element(2**256 - 1)),  # message >= p
+        element(DEFAULT_PRIME) + encoded[32:],  # h >= p
     ):
         with pytest.raises(DecodeError):
-            decode_digest(Reader(bad), small_group)
+            decode_digest(Reader(bad))
 
 
 def test_message_scalar_range_and_stability():

@@ -108,15 +108,14 @@ def test_microblock_hashes_match_a_fresh_encoding(name):
     survives a wire round trip with its stored entries, redacted
     institution roots included."""
     sim = run_scenario(dataclasses.replace(BASE, **GOLDEN[name][0])).sim
-    group = sim.group_params
     redacted = 0
     for patient_id, mb in sim.chain.microblocks.items():
-        fresh = fresh_microblock_encoding(mb, group)
-        assert microblock_hash(mb, group) == hashlib.sha256(fresh).digest()
-        decoded = decode_block(encode_block(mb, group), group)
+        fresh = fresh_microblock_encoding(mb)
+        assert microblock_hash(mb) == hashlib.sha256(fresh).digest()
+        decoded = decode_block(encode_block(mb))
         assert decoded == mb
         assert decoded.tx_entries == mb.tx_entries
-        assert microblock_hash(decoded, group) == microblock_hash(mb, group)
+        assert microblock_hash(decoded) == microblock_hash(mb)
         redacted += len(sim.patient_leaves[patient_id]) > 1
     assert redacted > 0
 

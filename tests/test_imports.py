@@ -1,4 +1,5 @@
-"""Every imported name is used in the file that imports it."""
+"""Every imported name is used in the file that imports it, and only the
+chameleon arithmetic imports the pairing group."""
 
 import ast
 import pathlib
@@ -59,3 +60,26 @@ def test_no_unused_imports():
         if (unused := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+# the pairing group's own module, the chameleon hash and the package exports
+GROUP_IMPORTERS = {"group.py", "chameleon.py", "__init__.py"}
+
+
+def imported_names(source: str) -> set[str]:
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_only_the_chameleon_arithmetic_imports_the_pairing_group():
+    importers = {
+        path.name
+        for path in sorted((ROOT / "src/spchain").glob("*.py"))
+        if "BilinearGroup" in imported_names(path.read_text(encoding="utf-8"))
+    }
+    assert importers - GROUP_IMPORTERS == set()
+    assert "chameleon.py" in importers

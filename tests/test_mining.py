@@ -1,4 +1,4 @@
-import dataclasses
+import hashlib
 import random
 import statistics
 
@@ -13,13 +13,10 @@ from spchain.blocks import (
 from spchain.chain import ChainView
 from spchain.mining import (
     ForkChoice,
-    PuzzleInput,
     check_puzzle,
     fork_choice,
     mine_keyblock,
     puzzle_preimage,
-    puzzle_value,
-    solves,
     target_from_zero_bits,
 )
 from spchain.signing import keypair_from_seed
@@ -49,18 +46,22 @@ def test_preimage_layout():
     assert preimage == b"A" * 32 + b"B" * 32 + (5).to_bytes(8, "big") + pk
 
 
+def puzzle_value(prev, penu, nonce, pk):
+    """The puzzle hash as a number: a solution is below the target."""
+    return int.from_bytes(hashlib.sha256(puzzle_preimage(prev, penu, nonce, pk)).digest(), "big")
+
+
 def test_puzzle_sensitivity_to_every_input():
     pk = keypair_from_seed(b"m").public_key
-    base = PuzzleInput(b"A" * 32, b"B" * 32, 5, pk, 1 << 255)
-    v = puzzle_value(base)
-    assert v != puzzle_value(dataclasses.replace(base, nonce=6))
-    assert v != puzzle_value(dataclasses.replace(base, prev_keyblock_hash=b"C" * 32))
-    assert v != puzzle_value(dataclasses.replace(base, penu_microblock_hash=b"C" * 32))
+    v = puzzle_value(b"A" * 32, b"B" * 32, 5, pk)
+    assert v != puzzle_value(b"A" * 32, b"B" * 32, 6, pk)
+    assert v != puzzle_value(b"C" * 32, b"B" * 32, 5, pk)
+    assert v != puzzle_value(b"A" * 32, b"C" * 32, 5, pk)
     other_pk = keypair_from_seed(b"n").public_key
-    assert v != puzzle_value(dataclasses.replace(base, miner_public_key=other_pk))
+    assert v != puzzle_value(b"A" * 32, b"B" * 32, 5, other_pk)
 
 
-def test_mined_block_passes_check(group):
+def test_mined_block_passes_check():
     view = genesis_view()
     kp = keypair_from_seed(b"miner")
     result = mine_keyblock(view, (), kp, target_from_zero_bits(4), 10_000, random.Random(1))
@@ -69,14 +70,14 @@ def test_mined_block_passes_check(group):
     assert result.block.height == 1
     assert result.block.prev_keyblock_hash == GENESIS_KEYBLOCK_HASH
     # and the solution is tight against the claimed target
-    assert solves(
-        PuzzleInput(
+    assert (
+        puzzle_value(
             result.block.prev_keyblock_hash,
             result.block.penu_microblock_hash,
             result.block.nonce,
             result.block.miner_public_key,
-            result.block.target,
         )
+        < result.block.target
     )
 
 
@@ -94,12 +95,11 @@ def test_check_puzzle_rejects_malformed():
 
 
 def reference_mine(view, pk, target, max_attempts, rng):
-    """The mining loop stated through ``solves``: (nonce, attempts) of the
-    first solution, or (None, max_attempts)."""
+    """The mining loop stated through ``puzzle_preimage``: (nonce, attempts)
+    of the first solution, or (None, max_attempts)."""
     for attempt in range(1, max_attempts + 1):
         nonce = rng.getrandbits(64)
-        puzzle = PuzzleInput(view.tip_hash, view.penu_microblock_hash, nonce, pk, target)
-        if solves(puzzle):
+        if puzzle_value(view.tip_hash, view.penu_microblock_hash, nonce, pk) < target:
             return nonce, attempt
     return None, max_attempts
 
@@ -171,38 +171,38 @@ def test_expected_attempts_match_difficulty():
 # -- fork choice ---------------------------------------------------------------
 
 
-def mined_at(view, seed, group):
+def mined_at(view, seed):
     kp = keypair_from_seed(seed)
     result = mine_keyblock(view, (), kp, target_from_zero_bits(0), 1, random.Random(3))
     return result.block
 
 
-def test_fork_choice_accepts_tip_extension(group):
+def test_fork_choice_accepts_tip_extension():
     view = genesis_view()
-    block = mined_at(view, b"m1", group)
-    assert fork_choice(view, block, group) is ForkChoice.ACCEPT
+    block = mined_at(view, b"m1")
+    assert fork_choice(view, block) is ForkChoice.ACCEPT
 
 
-def test_fork_choice_rejects_pinned_conflict(group):
+def test_fork_choice_rejects_pinned_conflict():
     view = genesis_view()
-    pinned_block = mined_at(view, b"m1", group)
-    pinned_hash = keyblock_hash(pinned_block, group)
+    pinned_block = mined_at(view, b"m1")
+    pinned_hash = keyblock_hash(pinned_block)
     advanced = ChainView(
         pinned_hashes=[pinned_hash],
         tip_height=1,
         tip_hash=pinned_hash,
         penu_microblock_hash=GENESIS_MICROBLOCK_HASH,
     )
-    rival = mined_at(view, b"m2", group)  # same height, different content
-    assert fork_choice(advanced, rival, group) is ForkChoice.REJECT
+    rival = mined_at(view, b"m2")  # same height, different content
+    assert fork_choice(advanced, rival) is ForkChoice.REJECT
     # re-announcing the pinned block itself is fine
-    assert fork_choice(advanced, pinned_block, group) is ForkChoice.ACCEPT
+    assert fork_choice(advanced, pinned_block) is ForkChoice.ACCEPT
 
 
-def test_fork_choice_orphans_side_branch(group):
+def test_fork_choice_orphans_side_branch():
     view = genesis_view()
-    pinned_block = mined_at(view, b"m1", group)
-    pinned_hash = keyblock_hash(pinned_block, group)
+    pinned_block = mined_at(view, b"m1")
+    pinned_hash = keyblock_hash(pinned_block)
     advanced = ChainView(
         pinned_hashes=[pinned_hash],
         tip_height=1,
@@ -219,4 +219,4 @@ def test_fork_choice_orphans_side_branch(group):
         target=(1 << 256) - 1,
         height=2,
     )
-    assert fork_choice(advanced, stray, group) is ForkChoice.ORPHAN
+    assert fork_choice(advanced, stray) is ForkChoice.ORPHAN

@@ -10,8 +10,8 @@ from tests.conftest import pin_subject, signed_members
 from tests.test_tx_blocks import make_keyblock, make_keys, make_medical_tx, make_microblock
 
 
-def test_keyblock_reward_goes_to_creator(group, trio):
-    block = make_keyblock(group, trio)
+def test_keyblock_reward_goes_to_creator(trio):
+    block = make_keyblock(trio)
     fees = FeeSchedule(mining_reward=50.0)
     rewards = distribute_rewards(block, fees, trio[0])
     creator = address_of(keypair_from_seed(b"miner").public_key)
@@ -19,8 +19,8 @@ def test_keyblock_reward_goes_to_creator(group, trio):
     assert rewards == {creator: 52.0}
 
 
-def test_unpinned_block_pays_nothing(group, trio):
-    block = make_keyblock(group)
+def test_unpinned_block_pays_nothing(trio):
+    block = make_keyblock()
     with pytest.raises(ValueError, match="not pinned"):
         distribute_rewards(block, FeeSchedule(), trio[0])
 
@@ -31,7 +31,7 @@ def test_microblock_split_hand_oracle(group, trio):
     # the remaining 5.5, so m0 totals 8.25
     keys = make_keys(20, group)
     tx = make_medical_tx(group, keys)
-    block = make_microblock(group, keys, txs=[tx])
+    block = make_microblock(keys, txs=[tx])
     fees = FeeSchedule(micro_reward=10.0, creator_share=0.5)
     cert = pin_subject(tx.tx_id, *trio)
     # the trio's members are m0, m1 and m2, as in any signed_members group,
@@ -46,7 +46,7 @@ def test_microblock_split_hand_oracle(group, trio):
 def test_microblock_requires_quorum_cert(group, trio):
     keys = make_keys(21, group)
     tx = make_medical_tx(group, keys)
-    block = make_microblock(group, keys, txs=[tx])
+    block = make_microblock(keys, txs=[tx])
     with pytest.raises(ValueError, match="not pinned"):
         distribute_rewards(block, FeeSchedule(), trio[0])
     cert = pin_subject(tx.tx_id, *trio)
@@ -65,7 +65,7 @@ def test_microblock_requires_quorum_cert(group, trio):
 def test_batch_subset_total_uses_batch_fees(group, trio):
     keys = make_keys(22, group)
     tx = make_medical_tx(group, keys, fee=5)
-    block = make_microblock(group, keys, txs=[tx])
+    block = make_microblock(keys, txs=[tx])
     fees = FeeSchedule(micro_reward=10.0, creator_share=0.5)
     cert = pin_subject(tx.tx_id, *trio)
     rewards = distribute_rewards(block, fees, trio[0], pin_cert=cert, batch_txs=[tx])
@@ -76,7 +76,7 @@ def test_conservation_randomized(group, trio):
     rng = random.Random(404)
     keys = make_keys(23, group)
     tx = make_medical_tx(group, keys)
-    block = make_microblock(group, keys, txs=[tx])
+    block = make_microblock(keys, txs=[tx])
     cert = pin_subject(tx.tx_id, *trio)
     for _ in range(200):
         weights = tuple(rng.random() + 0.01 for _ in range(3))

@@ -125,7 +125,7 @@ def test_pinned_chain_is_valid_and_conflict_free():
         assert kb.prev_keyblock_hash == prev
         assert check_puzzle(kb)  # real proof of work
         assert kb.pin_cert is not None
-        prev = keyblock_hash(kb, sim.group_params)
+        prev = keyblock_hash(kb)
 
 
 def test_microblock_txs_all_pinned_and_owned():
@@ -196,7 +196,7 @@ def label_of(sim, patient, inst, target_tx_id):
         pointer=body.pointer, round_number=body.round_number,
     )
     return build_tx(
-        TxType.LABEL, payload, patient.keypair, sim.chain.group, fee=1,
+        TxType.LABEL, payload, patient.keypair, fee=1,
         receiver_hk=inst.ch_keys.hk,
     )
 
@@ -243,6 +243,32 @@ def test_label_sees_its_target_decided_earlier_in_the_batch(adversary_type):
         assert m.tx_id in sim.submit_round
         assert sim.chain.validate_tx(l) == (False, LABEL_TARGET_MISSING)
     assert l.tx_id not in sim.submit_round
+
+
+def test_replays_and_same_batch_repeats_are_pinned_once():
+    """A batch holding an already pinned tx and two copies of a new one
+    pins the new one once: the replay and the repeat count as invalid,
+    and pay and count for nothing, as a batch of the new tx alone shows."""
+    sim, group, patient, earlier = one_patient_sim("none")
+    reference, ref_group, ref_patient, _ = one_patient_sim("none")
+    inst = sim.miners[1]
+    fresh = visit(sim, patient, inst, b"fresh")
+    assert visit(reference, ref_patient, reference.miners[1], b"fresh") == fresh
+    invalid = sim.invalid_txs
+    for tx in (earlier, fresh, fresh):
+        sim.scheduler.enqueue(inst.address, tx)
+    reference.scheduler.enqueue(inst.address, fresh)
+    batch = schedule_batch(sim.scheduler, {})
+    assert batch == [earlier, fresh, fresh]
+
+    assert sim._pin_tx_batch(group, batch) == 1
+    assert reference._pin_tx_batch(ref_group, schedule_batch(reference.scheduler, {})) == 1
+
+    assert sim.chain.microblocks[patient.address].txs == (earlier, fresh)
+    assert sim.invalid_txs == invalid + 2
+    assert sim.total_medical_txs == reference.total_medical_txs
+    assert sim.total_rewards == reference.total_rewards
+    assert sim.tml_counts == reference.tml_counts
 
 
 def count_vote_signatures(monkeypatch):
@@ -309,9 +335,9 @@ def count_tx_encodings(monkeypatch):
         counts["allowed"] += 1
         return real_validate(self, tx)
 
-    def counting_keyblock_hash(block, group):
+    def counting_keyblock_hash(block):
         counts["allowed"] += len(block.register_txs)
-        return real_keyblock_hash(block, group)
+        return real_keyblock_hash(block)
 
     for module in (tx_mod, chain_mod):
         monkeypatch.setattr(module, "signing_bytes", counting_signing_bytes)

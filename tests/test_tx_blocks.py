@@ -52,10 +52,10 @@ def make_keys(seed: int, group):
     return ch_keygen(group, random.Random(seed))
 
 
-def make_register_tx(group, seed=b"p1", receiver="inst-a", fee=2):
+def make_register_tx(seed=b"p1", receiver="inst-a", fee=2):
     kp = keypair_from_seed(seed)
     payload = RegisterPayload(receiver_id=receiver, identity_digest=hashlib.sha256(seed).digest())
-    return build_tx(TxType.REGISTER, payload, kp, group, fee=fee)
+    return build_tx(TxType.REGISTER, payload, kp, fee=fee)
 
 
 def make_medical_tx(group, keys, seed=b"p1", receiver="inst-a", fee=1, round_number=3):
@@ -64,7 +64,7 @@ def make_medical_tx(group, keys, seed=b"p1", receiver="inst-a", fee=1, round_num
     payload = MedicalPayload(
         receiver_id=receiver, ch_digest=digest, pointer="ab" * 32, round_number=round_number
     )
-    return build_tx(TxType.MEDICAL, payload, kp, group, fee=fee, receiver_hk=keys.hk)
+    return build_tx(TxType.MEDICAL, payload, kp, fee=fee, receiver_hk=keys.hk)
 
 
 def make_label_tx(group, keys, target: bytes, seed=b"p1", receiver="inst-a"):
@@ -77,7 +77,7 @@ def make_label_tx(group, keys, target: bytes, seed=b"p1", receiver="inst-a"):
         pointer="cd" * 32,
         round_number=4,
     )
-    return build_tx(TxType.LABEL, payload, kp, group, fee=1, receiver_hk=keys.hk)
+    return build_tx(TxType.LABEL, payload, kp, fee=1, receiver_hk=keys.hk)
 
 
 # -- transactions ------------------------------------------------------------
@@ -85,21 +85,21 @@ def make_label_tx(group, keys, target: bytes, seed=b"p1", receiver="inst-a"):
 
 def test_tx_roundtrip_all_types(group):
     keys = make_keys(1, group)
-    reg = make_register_tx(group)
+    reg = make_register_tx()
     med = make_medical_tx(group, keys)
     lab = make_label_tx(group, keys, target=med.tx_id)
     for tx in (reg, med, lab):
-        reader = Reader(encode_tx(tx, group))
-        decoded = decode_tx(reader, group)
+        reader = Reader(encode_tx(tx))
+        decoded = decode_tx(reader)
         reader.expect_end()
         assert decoded == tx
         assert decoded.tx_id == tx.tx_id
 
 
-def test_tx_id_is_content_hash(group):
-    tx = make_register_tx(group)
-    assert tx.tx_id == hashlib.sha256(encode_tx(tx, group)).digest()
-    other = make_register_tx(group, fee=3)
+def test_tx_id_is_content_hash():
+    tx = make_register_tx()
+    assert tx.tx_id == hashlib.sha256(encode_tx(tx)).digest()
+    other = make_register_tx(fee=3)
     assert other.tx_id != tx.tx_id
 
 
@@ -110,21 +110,21 @@ def test_randomized_tx_roundtrip(group):
         kind = rng.choice(list(TxType))
         seed = b"p%d" % rng.randrange(20)
         if kind is TxType.REGISTER:
-            tx = make_register_tx(group, seed=seed, fee=rng.randrange(100))
+            tx = make_register_tx(seed=seed, fee=rng.randrange(100))
         elif kind is TxType.MEDICAL:
             tx = make_medical_tx(
                 group, keys, seed=seed, fee=rng.randrange(100), round_number=rng.randrange(50)
             )
         else:
             tx = make_label_tx(group, keys, target=bytes([i % 256]) * 32, seed=seed)
-        reader = Reader(encode_tx(tx, group))
-        assert decode_tx(reader, group) == tx
+        reader = Reader(encode_tx(tx))
+        assert decode_tx(reader) == tx
 
 
 def test_byte_flip_never_decodes_to_same_id(group):
     keys = make_keys(3, group)
     tx = make_medical_tx(group, keys)
-    encoded = encode_tx(tx, group)
+    encoded = encode_tx(tx)
     rng = random.Random(17)
     for _ in range(150):
         pos = rng.randrange(len(encoded))
@@ -132,7 +132,7 @@ def test_byte_flip_never_decodes_to_same_id(group):
         corrupted[pos] ^= 1 << rng.randrange(8)
         try:
             reader = Reader(bytes(corrupted))
-            decoded = decode_tx(reader, group)
+            decoded = decode_tx(reader)
             reader.expect_end()
         except DecodeError:
             continue
@@ -146,14 +146,14 @@ def test_build_tx_enforces_digest_and_target(group):
     digest = ch_hash(keys.hk, 9, 9)
     payload = MedicalPayload(receiver_id="inst", ch_digest=digest, pointer="x", round_number=0)
     with pytest.raises(ValueError):
-        build_tx(TxType.MEDICAL, payload, kp, group)  # missing hash key
+        build_tx(TxType.MEDICAL, payload, kp)  # missing hash key
     with pytest.raises(ValueError):
-        build_tx(TxType.MEDICAL, payload, kp, group, receiver_hk=other.hk)  # wrong key
+        build_tx(TxType.MEDICAL, payload, kp, receiver_hk=other.hk)  # wrong key
     lab = LabelPayload(
         receiver_id="inst", target_tx_hash=b"short", ch_digest=digest, pointer="x", round_number=0
     )
     with pytest.raises(ValueError, match="32-byte"):
-        build_tx(TxType.LABEL, lab, kp, group, receiver_hk=keys.hk)
+        build_tx(TxType.LABEL, lab, kp, receiver_hk=keys.hk)
 
 
 # -- pin certificates ----------------------------------------------------------
@@ -200,7 +200,7 @@ def test_repeated_signer_never_meets_quorum(trio):
 # -- blocks --------------------------------------------------------------------
 
 
-def make_keyblock(group, pinners=None):
+def make_keyblock(pinners=None):
     """A one-register keyblock; pinned by ``pinners`` (a group and its
     keys) when given."""
     block = KeyBlock(
@@ -208,16 +208,16 @@ def make_keyblock(group, pinners=None):
         penu_microblock_hash=GENESIS_MICROBLOCK_HASH,
         nonce=123456,
         miner_public_key=keypair_from_seed(b"miner").public_key,
-        register_txs=(make_register_tx(group),),
+        register_txs=(make_register_tx(),),
         target=1 << 250,
         height=1,
     )
     if pinners is None:
         return block
-    return dataclasses.replace(block, pin_cert=pin_subject(keyblock_hash(block, group), *pinners))
+    return dataclasses.replace(block, pin_cert=pin_subject(keyblock_hash(block), *pinners))
 
 
-def make_microblock(group, keys, txs=()):
+def make_microblock(keys, txs=()):
     root = institution_root([b"leaf-a"], keys.hk, random.Random(9))
     return MicroBlock(
         owner_patient_id="patient-1",
@@ -229,45 +229,45 @@ def make_microblock(group, keys, txs=()):
     )
 
 
-def test_keyblock_roundtrip_with_and_without_cert(group, trio):
+def test_keyblock_roundtrip_with_and_without_cert(trio):
     for pinners in (None, trio):
-        block = make_keyblock(group, pinners)
-        assert decode_block(encode_block(block, group), group) == block
+        block = make_keyblock(pinners)
+        assert decode_block(encode_block(block)) == block
 
 
 def test_microblock_roundtrip(group):
     keys = make_keys(6, group)
     med = make_medical_tx(group, keys)
-    block = make_microblock(group, keys, txs=[med])
-    expected = hashlib.sha256(fresh_microblock_encoding(block, group)).digest()
-    assert microblock_hash(block, group) == expected
-    assert block.tx_entries == (wire.var_bytes(encode_tx(med, group)),)
-    decoded = decode_block(encode_block(block, group), group)
+    block = make_microblock(keys, txs=[med])
+    expected = hashlib.sha256(fresh_microblock_encoding(block)).digest()
+    assert microblock_hash(block) == expected
+    assert block.tx_entries == (wire.var_bytes(encode_tx(med)),)
+    decoded = decode_block(encode_block(block))
     assert decoded == block
     assert decoded.tx_entries == block.tx_entries
-    assert microblock_hash(decoded, group) == expected
+    assert microblock_hash(decoded) == expected
 
 
-def test_keyblock_hash_ignores_certificate(group, trio):
-    bare = make_keyblock(group)
-    pinned = make_keyblock(group, trio)
-    assert keyblock_hash(bare, group) == keyblock_hash(pinned, group)
+def test_keyblock_hash_ignores_certificate(trio):
+    bare = make_keyblock()
+    pinned = make_keyblock(trio)
+    assert keyblock_hash(bare) == keyblock_hash(pinned)
     # but any content change shifts the hash
     moved = dataclasses.replace(bare, nonce=bare.nonce + 1)
-    assert keyblock_hash(moved, group) != keyblock_hash(bare, group)
+    assert keyblock_hash(moved) != keyblock_hash(bare)
 
 
 def test_keyblock_rejects_non_register_txs(group):
     keys = make_keys(7, group)
     med = make_medical_tx(group, keys)
-    block = dataclasses.replace(make_keyblock(group), register_txs=(med,))
+    block = dataclasses.replace(make_keyblock(), register_txs=(med,))
     with pytest.raises(DecodeError, match="register"):
-        decode_block(encode_block(block, group), group)
+        decode_block(encode_block(block))
 
 
-def test_unknown_block_kind_rejected(group):
+def test_unknown_block_kind_rejected():
     with pytest.raises(DecodeError):
-        decode_block(b"\x09rest", group)
+        decode_block(b"\x09rest")
 
 
 # -- merkle and institution root ------------------------------------------------
@@ -307,7 +307,7 @@ def test_institution_root_redaction_keeps_h(group):
 def test_append_requires_matching_quorum_cert(group, trio):
     consensus_group, keypairs = trio
     keys = make_keys(9, group)
-    block = make_microblock(group, keys)
+    block = make_microblock(keys)
     med = make_medical_tx(group, keys)
     cert = pin_subject(med.tx_id, consensus_group, keypairs)
     with pytest.raises(ValueError, match="no certificate"):
@@ -389,8 +389,8 @@ def test_merkle_paths_bind_id_and_index(tx_ids):
 
 def test_append_rejects_register_tx(group):
     keys = make_keys(10, group)
-    block = make_microblock(group, keys)
-    reg = make_register_tx(group)
+    block = make_microblock(keys)
+    reg = make_register_tx()
     with pytest.raises(ValueError, match="medical and label"):
         append_pinned_tx(block, reg)
 
@@ -419,7 +419,7 @@ keyblocks = st.builds(
     penu_microblock_hash=st.binary(min_size=32, max_size=32),
     nonce=st.integers(0, 2**64 - 1),
     miner_public_key=st.binary(min_size=32, max_size=32),
-    register_txs=st.sampled_from([(), (make_register_tx(default_group()),)]),
+    register_txs=st.sampled_from([(), (make_register_tx(),)]),
     target=st.integers(0, 2**256 - 1),
     height=st.integers(0, 2**64 - 1),
     pin_cert=st.none() | certificates,
@@ -429,18 +429,16 @@ keyblocks = st.builds(
 @settings(max_examples=80, deadline=None)
 @given(keyblocks)
 def test_keyblock_certificate_roundtrip(block):
-    group = default_group()
-    assert decode_block(encode_block(block, group), group) == block
+    assert decode_block(encode_block(block)) == block
 
 
 @settings(max_examples=30, deadline=None)
 @given(keyblocks)
 def test_every_truncated_keyblock_encoding_raises_decode_error(block):
-    group = default_group()
-    data = encode_block(block, group)
+    data = encode_block(block)
     for end in range(len(data)):
         with pytest.raises(DecodeError):
-            decode_block(data[:end], group)
+            decode_block(data[:end])
 
 
 RECORD_KEYS = make_keys(4, default_group())
@@ -464,17 +462,16 @@ def record_txs(draw):
         target = draw(st.binary(min_size=32, max_size=32))
         tx_type, payload = TxType.LABEL, LabelPayload(target_tx_hash=target, **fields)
     fee = draw(st.integers(0, 2**64 - 1))
-    return build_tx(tx_type, payload, keypair_from_seed(b"p1"), group, fee=fee, receiver_hk=hk)
+    return build_tx(tx_type, payload, keypair_from_seed(b"p1"), fee=fee, receiver_hk=hk)
 
 
 @settings(max_examples=30, deadline=None)
 @given(record_txs())
 def test_every_truncated_record_tx_encoding_raises_decode_error(tx):
-    group = default_group()
-    data = encode_tx(tx, group)
+    data = encode_tx(tx)
     reader = Reader(data)
-    assert decode_tx(reader, group) == tx
+    assert decode_tx(reader) == tx
     reader.expect_end()
     for end in range(len(data)):
         with pytest.raises(DecodeError):
-            decode_tx(Reader(data[:end]), group)
+            decode_tx(Reader(data[:end]))
