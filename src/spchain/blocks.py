@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from . import wire
@@ -126,10 +126,6 @@ class MicroBlock:
     creator_miner_id: str
     round_number: int
     prev_hash: bytes
-    # ``var_bytes(encode_tx(tx))`` for a prefix of ``txs``, extended by
-    # ``_tx_entries`` so each transaction is encoded once. ``replace``
-    # carries it over, so change ``txs`` only by appending.
-    tx_entries: tuple[bytes, ...] = field(default=(), compare=False, repr=False)
 
 
 def encode_keyblock(block: KeyBlock, include_cert: bool = True) -> bytes:
@@ -152,20 +148,7 @@ def encode_keyblock(block: KeyBlock, include_cert: bool = True) -> bytes:
     return out
 
 
-def _tx_entries(block: MicroBlock) -> tuple[bytes, ...]:
-    """Every transaction's entry: the stored ones, plus the transactions
-    past them encoded now and stored on the block."""
-    entries = block.tx_entries
-    if len(entries) < len(block.txs):
-        entries += tuple(
-            wire.var_bytes(encode_tx(tx)) for tx in block.txs[len(entries):]
-        )
-        object.__setattr__(block, "tx_entries", entries)
-    return entries
-
-
 def encode_microblock(block: MicroBlock) -> bytes:
-    entries = _tx_entries(block)
     return (
         wire.u8(_KIND_MICROBLOCK)
         + wire.var_str(block.owner_patient_id)
@@ -173,8 +156,8 @@ def encode_microblock(block: MicroBlock) -> bytes:
         + wire.var_str(block.creator_miner_id)
         + wire.u64(block.round_number)
         + wire.var_bytes(block.prev_hash)
-        + wire.u32(len(entries))
-        + b"".join(entries)
+        + wire.u32(len(block.txs))
+        + b"".join([wire.var_bytes(encode_tx(tx)) for tx in block.txs])
     )
 
 
@@ -238,20 +221,14 @@ def _decode_microblock_body(reader: Reader) -> MicroBlock:
     creator = reader.var_str()
     round_number = reader.u64()
     prev_hash = reader.var_bytes()
-    n = reader.u32()
-    txs, entries = [], []
-    for _ in range(n):
-        start = reader.pos
-        txs.append(_decode_tx_entry(reader))
-        entries.append(reader.data[start : reader.pos])
+    txs = tuple(_decode_tx_entry(reader) for _ in range(reader.u32()))
     return MicroBlock(
         owner_patient_id=owner,
         institution_root=root,
-        txs=tuple(txs),
+        txs=txs,
         creator_miner_id=creator,
         round_number=round_number,
         prev_hash=prev_hash,
-        tx_entries=tuple(entries),
     )
 
 
@@ -349,9 +326,8 @@ def update_institution_root(
 
 
 def append_pinned_tx(microblock: MicroBlock, tx: Transaction) -> MicroBlock:
-    """Append a pinned transaction at the tail; prior entries are untouched,
-    and their stored encoding carries over, so the next hash encodes only
-    ``tx``. The caller has checked its certificate
+    """Append a pinned transaction at the tail; prior entries are
+    untouched. The caller has checked its certificate
     (``ChainState.append_to_microblock``)."""
     if tx.tx_type not in (TxType.MEDICAL, TxType.LABEL):
         raise ValueError("microblocks hold medical and label transactions only")

@@ -31,7 +31,8 @@ from .tx import (
     RegisterPayload,
     Transaction,
     TxType,
-    signing_bytes,
+    compute_tx_id,
+    encode_tx,
 )
 
 # machine-readable validation reasons
@@ -45,6 +46,7 @@ LABEL_TARGET_MISSING = "LABEL_TARGET_MISSING"
 BAD_ROUND = "BAD_ROUND"
 MALFORMED = "MALFORMED"
 DUPLICATE = "DUPLICATE"
+BAD_TX_ID = "BAD_TX_ID"
 
 
 @dataclass(frozen=True)
@@ -153,10 +155,12 @@ class ChainState:
         self._records: dict[str, _RecordIndex] = {}
         self.pinned_keyblocks: list[KeyBlock] = []
         self._pinned_hashes: list[bytes] = []
-        # entry h: hash of the last microblock touched while the pinned tip
-        # was at most h, carried forward on each pin; entry 0 holds touches
-        # made before the first pin, which count toward height 1
-        self._last_mb_hash: list[bytes] = [GENESIS_MICROBLOCK_HASH]
+        # entry h: the last microblock touched while the pinned tip was at
+        # most h, carried forward on each pin; entry 0 holds touches made
+        # before the first pin, which count toward height 1. An entry holds
+        # the touched block until it is read or carried forward, then its
+        # hash, so an append does not hash the patient's history
+        self._last_mb: list[bytes | MicroBlock] = [GENESIS_MICROBLOCK_HASH]
         self.current_round = 0
         # instrumentation: microblock store reads, for retrieval-cost checks
         self.store_accesses = 0
@@ -200,7 +204,13 @@ class ChainState:
         ``height``; carried forward from earlier rounds, genesis before any."""
         if height < 1:
             return GENESIS_MICROBLOCK_HASH
-        return self._last_mb_hash[min(height, self.tip_height)]
+        return self._settle(min(height, self.tip_height))
+
+    def _settle(self, index: int) -> bytes:
+        entry = self._last_mb[index]
+        if isinstance(entry, MicroBlock):
+            entry = self._last_mb[index] = microblock_hash(entry)
+        return entry
 
     def penu_microblock_hash_for(self, next_height: int) -> bytes:
         if next_height <= 2:
@@ -228,7 +238,7 @@ class ChainState:
             raise ValueError("keyblock does not solve its puzzle")
         self.pinned_keyblocks.append(block)
         self._pinned_hashes.append(digest)
-        self._last_mb_hash.append(self._last_mb_hash[-1])
+        self._last_mb.append(self._settle(-1))
 
     def create_microblock(self, microblock: MicroBlock) -> None:
         patient_id = microblock.owner_patient_id
@@ -280,7 +290,7 @@ class ChainState:
             raise ValueError("institution root does not open under the home institution's key")
 
     def _touch_microblock(self, microblock: MicroBlock) -> None:
-        self._last_mb_hash[-1] = microblock_hash(microblock)
+        self._last_mb[-1] = microblock
 
     # -- lookups ----------------------------------------------------------
 
@@ -311,11 +321,15 @@ class ChainState:
     def validate_tx(self, tx: Transaction) -> tuple[bool, str]:
         """True plus OK, or False plus a machine-readable reason code."""
         try:
-            body = signing_bytes(tx.tx_type, tx.payload, tx.sender_pk, tx.fee)
+            encoded = encode_tx(tx)
         except Exception:
             return False, MALFORMED
-        if not verify_sig(body, tx.signature, tx.sender_pk):
+        if not verify_sig(tx.body, tx.signature, tx.sender_pk):
             return False, BAD_SIGNATURE
+        # the id is neither signed nor on the wire: a replay under a fresh
+        # id would pass the DUPLICATE check below
+        if compute_tx_id(encoded) != tx.tx_id:
+            return False, BAD_TX_ID
 
         receiver = self.institutions.get(tx.payload.receiver_id)
         if receiver is None:

@@ -47,7 +47,7 @@ class ConsensusGroup:
     def size(self) -> int:
         return len(self.members)
 
-    @property
+    @cached_property
     def total_weight(self) -> float:
         return sum(m.weight for m in self.members)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .blocks import KeyBlock, MicroBlock, TxCertificate
-from .consensus import ConsensusGroup, check_signers
+from .consensus import ConsensusGroup
 from .signing import address_of
 from .tx import Transaction
 
@@ -38,12 +38,13 @@ def distribute_rewards(
 
     For a microblock, ``pin_cert`` is the certificate that pinned the
     appended transactions and ``batch_txs`` those transactions. Signer
-    weights are read from ``group``.
+    weights are read from ``group``. The certificate is the one that
+    ``ChainState.add_pinned_keyblock`` or ``append_to_microblock`` checked
+    against ``group`` as the block landed; it is not checked again here.
     """
     cert = block.pin_cert if isinstance(block, KeyBlock) else pin_cert
     if cert is None:
         raise ValueError("block is not pinned")
-    check_signers(cert, group)
     if isinstance(block, KeyBlock):
         creator = address_of(block.miner_public_key)
         total = fees.mining_reward + sum(tx.fee for tx in block.register_txs)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 from . import wire
@@ -68,6 +69,12 @@ class Transaction:
     signature: bytes
     tx_id: bytes
 
+    @cached_property
+    def body(self) -> bytes:
+        """The signed bytes, encoded once per object: the fields are
+        frozen, and ``replace`` builds a new object."""
+        return signing_bytes(self.tx_type, self.payload, self.sender_pk, self.fee)
+
 
 def _encode_payload(tx_type: TxType, payload: Payload) -> bytes:
     if tx_type is TxType.REGISTER:
@@ -122,9 +129,7 @@ def signing_bytes(tx_type: TxType, payload: Payload, sender_pk: bytes, fee: int)
 
 
 def encode_tx(tx: Transaction) -> bytes:
-    return signing_bytes(tx.tx_type, tx.payload, tx.sender_pk, tx.fee) + wire.var_bytes(
-        tx.signature
-    )
+    return tx.body + wire.var_bytes(tx.signature)
 
 
 def compute_tx_id(encoded: bytes) -> bytes:

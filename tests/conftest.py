@@ -9,7 +9,7 @@ from spchain.chameleon import encode_digest
 from spchain.consensus import ConsensusGroup, GroupMember, pin
 from spchain.group import BilinearGroup, default_group
 from spchain.signing import keypair_from_seed, sign
-from spchain.tx import encode_tx
+from spchain.tx import signing_bytes
 
 # Every run draws the same examples, and no example database carries a
 # failure from one run into the next.
@@ -71,7 +71,7 @@ def pin_subject(subject: bytes, consensus_group, keypairs) -> TxCertificate:
 
 def fresh_microblock_encoding(block: MicroBlock) -> bytes:
     """The microblock wire layout written out from ``block.txs``, each
-    transaction encoded anew; the oracle for the stored entries."""
+    transaction encoded anew; the oracle for the cached bodies."""
     out = (
         wire.u8(2)
         + wire.var_str(block.owner_patient_id)
@@ -82,5 +82,6 @@ def fresh_microblock_encoding(block: MicroBlock) -> bytes:
         + wire.u32(len(block.txs))
     )
     for tx in block.txs:
-        out += wire.var_bytes(encode_tx(tx))
+        body = signing_bytes(tx.tx_type, tx.payload, tx.sender_pk, tx.fee)
+        out += wire.var_bytes(body + wire.var_bytes(tx.signature))
     return out

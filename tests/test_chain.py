@@ -269,6 +269,32 @@ def test_last_microblock_hash_carries_forward(world, trio):
         assert chain.last_microblock_hash(h) == walk_back(h)
 
 
+def test_last_microblock_hash_is_of_the_touched_version(world, trio):
+    """A root redacted after the last touch at a height does not move that
+    height's hash, whether it is carried forward or read at the tip."""
+    chain, institution, patient = registered(world)
+    hk, tk = institution.ch_keys.hk, institution.ch_keys.tk
+    leaves = [institution.info_leaf]
+    touched = {}  # keyblock height -> hash of the version appended there
+    for height in (1, 2):
+        pin_next(chain, trio)
+        tx = medical_tx(chain, institution, patient)
+        appended = chain.append_to_microblock(
+            patient.address, tx, pin_subject(tx.tx_id, *trio), trio[0]
+        )
+        touched[height] = microblock_hash(appended)
+        leaves.append(b"clinic-%d" % height)
+        root = update_institution_root(appended.institution_root, leaves, hk, tk)
+        chain.replace_microblock(dataclasses.replace(appended, institution_root=root))
+        assert microblock_hash(chain.microblocks[patient.address]) != touched[height]
+    # height 1 was carried forward by the pin above; height 2 is the tip
+    assert chain.last_microblock_hash(2) == touched[2]
+    pin_next(chain, trio)
+    assert chain.last_microblock_hash(1) == touched[1]
+    assert chain.last_microblock_hash(2) == touched[2]
+    assert chain.penu_microblock_hash_for(4) == touched[2]
+
+
 # -- validation reason codes -----------------------------------------------------
 
 
@@ -393,6 +419,20 @@ def test_validate_replay_after_pin_is_duplicate(world, trio):
             chain.append_to_microblock(patient.address, tx, pin_subject(tx.tx_id, *trio), trio[0])
     assert chain.microblocks[patient.address] is microblock
     assert chain.store_accesses == accesses
+
+
+def test_validate_replay_under_a_fresh_id_is_refused(world, trio):
+    """The id is neither signed nor on the wire, so a pinned tx renamed
+    with a made-up id is refused for its id, not pinned a second time."""
+    chain, institution, patient = registered(world)
+    med = medical_tx(chain, institution, patient)
+    chain.append_to_microblock(patient.address, med, pin_subject(med.tx_id, *trio), trio[0])
+    renamed = dataclasses.replace(med, tx_id=hashlib.sha256(b"fresh id").digest())
+    assert chain.validate_tx(renamed) == (False, chain_mod.BAD_TX_ID)
+    unpinned = medical_tx(chain, institution, patient)
+    renamed = dataclasses.replace(unpinned, tx_id=med.tx_id)
+    assert chain.validate_tx(renamed) == (False, chain_mod.BAD_TX_ID)
+    assert chain.validate_tx(unpinned) == (True, chain_mod.OK)
 
 
 # -- microblock bookkeeping --------------------------------------------------------

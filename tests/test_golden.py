@@ -105,8 +105,7 @@ def test_scenario_outputs_match_recorded(name):
 @pytest.mark.parametrize("name", list(GOLDEN))
 def test_microblock_hashes_match_a_fresh_encoding(name):
     """Each final microblock hashes as its transactions encoded anew, and
-    survives a wire round trip with its stored entries, redacted
-    institution roots included."""
+    survives a wire round trip, redacted institution roots included."""
     sim = run_scenario(dataclasses.replace(BASE, **GOLDEN[name][0])).sim
     redacted = 0
     for patient_id, mb in sim.chain.microblocks.items():
@@ -114,7 +113,6 @@ def test_microblock_hashes_match_a_fresh_encoding(name):
         assert microblock_hash(mb) == hashlib.sha256(fresh).digest()
         decoded = decode_block(encode_block(mb))
         assert decoded == mb
-        assert decoded.tx_entries == mb.tx_entries
         assert microblock_hash(decoded) == microblock_hash(mb)
         redacted += len(sim.patient_leaves[patient_id]) > 1
     assert redacted > 0

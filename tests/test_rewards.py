@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from spchain.consensus import check_certificate
 from spchain.rewards import FeeSchedule, distribute_rewards
 from spchain.signing import address_of, keypair_from_seed
 
@@ -49,17 +50,21 @@ def test_microblock_requires_quorum_cert(group, trio):
     block = make_microblock(keys, txs=[tx])
     with pytest.raises(ValueError, match="not pinned"):
         distribute_rewards(block, FeeSchedule(), trio[0])
+    # a certificate is paid out only after the chain's check_certificate
+    # passed it, which refuses one below quorum
     cert = pin_subject(tx.tx_id, *trio)
     weak = dataclasses.replace(cert, signers=cert.signers[:1])
     with pytest.raises(ValueError, match="not pinned"):
-        distribute_rewards(block, FeeSchedule(), trio[0], pin_cert=weak)
+        check_certificate(tx.tx_id, weak, trio[0])
     # m1 and m2 reach quorum where they hold 2 of 2.5 weight, and miss it
     # where they hold 2 of 7
     strong = dataclasses.replace(cert, signers=cert.signers[1:])
     light, heavy = signed_members((0.5, 1.0, 1.0))[0], signed_members((5.0, 1.0, 1.0))[0]
-    distribute_rewards(block, FeeSchedule(), light, pin_cert=strong)
+    check_certificate(tx.tx_id, strong, light)
+    rewards = distribute_rewards(block, FeeSchedule(), light, pin_cert=strong)
+    assert set(rewards) == {"m0", "m1", "m2"}
     with pytest.raises(ValueError, match="below quorum"):
-        distribute_rewards(block, FeeSchedule(), heavy, pin_cert=strong)
+        check_certificate(tx.tx_id, strong, heavy)
 
 
 def test_batch_subset_total_uses_batch_fees(group, trio):

@@ -5,7 +5,6 @@ import pytest
 from spchain.actors import EmrRecord, upload
 from spchain import actors as actors_mod
 from spchain import chain as chain_mod
-from spchain import mining as mining_mod
 from spchain import sim as sim_mod
 from spchain import tx as tx_mod
 from spchain.bench import bench_throughput
@@ -316,12 +315,12 @@ def test_group_signs_each_batch_once_not_each_tx(monkeypatch):
 
 def count_tx_encodings(monkeypatch):
     """Run the golden ``none`` scenario; return the ``signing_bytes`` calls
-    made, and how many a linear chain makes: one per transaction built,
-    one per validation, one per pinned transaction (its microblock entry),
-    plus the register transactions each ``keyblock_hash`` encodes."""
+    made, and how many a linear chain makes: one per transaction built and
+    one per transaction validated, its body cached from then on for the
+    keyblock and microblock hashes."""
     counts = {"calls": 0, "allowed": 0}
     real_signing_bytes, real_build_tx = tx_mod.signing_bytes, actors_mod.build_tx
-    real_validate, real_keyblock_hash = ChainState.validate_tx, sim_mod.keyblock_hash
+    real_validate = ChainState.validate_tx
 
     def counting_signing_bytes(*args):
         counts["calls"] += 1
@@ -335,20 +334,12 @@ def count_tx_encodings(monkeypatch):
         counts["allowed"] += 1
         return real_validate(self, tx)
 
-    def counting_keyblock_hash(block):
-        counts["allowed"] += len(block.register_txs)
-        return real_keyblock_hash(block)
-
-    for module in (tx_mod, chain_mod):
-        monkeypatch.setattr(module, "signing_bytes", counting_signing_bytes)
+    monkeypatch.setattr(tx_mod, "signing_bytes", counting_signing_bytes)
     monkeypatch.setattr(actors_mod, "build_tx", counting_build_tx)
     monkeypatch.setattr(ChainState, "validate_tx", counting_validate)
-    for module in (chain_mod, mining_mod, sim_mod):
-        monkeypatch.setattr(module, "keyblock_hash", counting_keyblock_hash)
     result = run_scenario(GOLDEN_BASE)
     assert result.summary["chain_digest"] == GOLDEN["none"][1]
-    pinned = result.summary["medical_txs_pinned"]
-    return counts["calls"], counts["allowed"] + pinned, pinned
+    return counts["calls"], counts["allowed"], result.summary["medical_txs_pinned"]
 
 
 def test_each_pinned_tx_is_encoded_once_not_each_append(monkeypatch):
@@ -358,6 +349,32 @@ def test_each_pinned_tx_is_encoded_once_not_each_append(monkeypatch):
     # patient's history per append on top of this
     assert 0 < calls <= allowed
     assert count_tx_encodings(monkeypatch)[0] == calls
+
+
+def count_microblock_hashes(monkeypatch):
+    """Run the golden ``none`` scenario; return the ``microblock_hash``
+    calls the chain state made (``chain_digest``'s are not counted), and
+    the pinned keyblocks plus the microblocks created."""
+    counts = {"calls": 0}
+    real_microblock_hash = chain_mod.microblock_hash
+
+    def counting_microblock_hash(block):
+        counts["calls"] += 1
+        return real_microblock_hash(block)
+
+    monkeypatch.setattr(chain_mod, "microblock_hash", counting_microblock_hash)
+    result = run_scenario(GOLDEN_BASE)
+    assert result.summary["chain_digest"] == GOLDEN["none"][1]
+    allowed = result.summary["pinned_keyblocks"] + len(result.sim.chain.microblocks)
+    return counts["calls"], allowed, result.summary["medical_txs_pinned"]
+
+
+def test_each_microblock_is_hashed_once_per_height_not_each_append(monkeypatch):
+    calls, allowed, pinned = count_microblock_hashes(monkeypatch)
+    # hashing on every append would cost one call per pinned transaction
+    assert allowed < pinned
+    assert 0 < calls <= allowed
+    assert count_microblock_hashes(monkeypatch)[0] == calls
 
 
 # -- adversaries ------------------------------------------------------------------
