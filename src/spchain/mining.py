@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import random
+import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -84,17 +85,28 @@ def mine_keyblock(
     Each attempt is ``check_puzzle``'s inequality on
     ``puzzle_preimage(prev, penu, nonce, pk)``, split at the nonce: the
     fixed ``prev || penu`` prefix is hashed once and its state copied per
-    attempt."""
+    attempt. The digest is compared as bytes with the target's 32-byte
+    big-endian form: equal-length big-endian strings sort as the integers
+    they encode."""
     height = view.tip_height + 1
     prev = view.tip_hash
     penu = view.penu_microblock_hash
     pk = miner_key.public_key
-    prefix = hashlib.sha256(prev + penu)
+    if target >= 1 << HASH_BITS:
+        bound = b"\xff" * (HASH_BITS // 8 + 1)  # above every digest
+    elif target <= 0:
+        bound = b""  # below every digest
+    else:
+        bound = target.to_bytes(HASH_BITS // 8, "big")
+    copy_prefix = hashlib.sha256(prev + penu).copy
+    draw = rng.getrandbits
+    # the bytes of wire.u64(nonce) + pk, packed in one call
+    pack_suffix = struct.Struct(">Q%ds" % len(pk)).pack
     for attempt in range(1, max_attempts + 1):
-        nonce = rng.getrandbits(64)
-        h = prefix.copy()
-        h.update(wire.u64(nonce) + pk)
-        if int.from_bytes(h.digest(), "big") < target:
+        nonce = draw(64)
+        h = copy_prefix()
+        h.update(pack_suffix(nonce, pk))
+        if h.digest() < bound:
             block = KeyBlock(
                 prev_keyblock_hash=prev,
                 penu_microblock_hash=penu,

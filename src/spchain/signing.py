@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -30,10 +31,18 @@ def sign(msg: bytes, keypair: KeyPair) -> bytes:
     return keypair.private_key.sign(msg)
 
 
+@functools.lru_cache(maxsize=4096)
+def _load_public_key(public_key: bytes) -> Ed25519PublicKey:
+    """Each member and patient key verifies many signatures, so it is
+    loaded once; a malformed key raises on every call, as the cache keeps
+    no exceptions."""
+    return Ed25519PublicKey.from_public_bytes(public_key)
+
+
 def verify_sig(msg: bytes, signature: bytes, public_key: bytes) -> bool:
     """Deterministic verification; malformed inputs return False."""
     try:
-        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, msg)
+        _load_public_key(public_key).verify(signature, msg)
         return True
     except (InvalidSignature, ValueError):
         return False

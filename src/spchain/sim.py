@@ -315,6 +315,9 @@ class Simulation:
         shares = self.power_shares()
         # eight times the expected attempts per solution, split by power
         attempts_total = 8 << self.config.target_zero_bits
+        # the chain does not change until the winner is pinned, so the
+        # honest miners and every fork choice share one view of its tip
+        tip = self.chain.view()
         candidates = []  # (virtual_time, miner_id, block)
         adversary_blocks = []  # published out-of-band this round
         for miner_id in self.active_miner_ids():
@@ -322,11 +325,11 @@ class Simulation:
             if share <= 0:
                 continue
             is_adv = miner_id == self.adversary.miner_id
-            view = self.adversary.mining_view(self.chain) if is_adv else self.chain.view()
+            view = self.adversary.mining_view(self.chain) if is_adv else tip
             if view is None:
                 continue
             budget = max(1, int(attempts_total * share + 0.5))
-            block_registers = registers if view.tip_hash == self.chain.tip_hash else []
+            block_registers = registers if view.tip_hash == tip.tip_hash else []
             result = mine_keyblock(
                 view,
                 block_registers,
@@ -341,14 +344,14 @@ class Simulation:
                 published = self.adversary.on_solution(self.round_number, result.block)
                 if published is None:
                     continue
-                if published.prev_keyblock_hash != self.chain.tip_hash:
+                if published.prev_keyblock_hash != tip.tip_hash:
                     adversary_blocks.append(published)
                     continue
             candidates.append((result.attempts / share, miner_id, result.block))
 
         adversary_blocks.extend(self.adversary.due_publications(self.round_number))
         for block in adversary_blocks:
-            verdict = fork_choice(self.chain.view(), block)
+            verdict = fork_choice(tip, block)
             if verdict is ForkChoice.REJECT:
                 self.rejected_blocks += 1
                 self._mark_dishonest(self.adversary.miner_id)
@@ -359,7 +362,7 @@ class Simulation:
 
         candidates.sort(key=lambda entry: (entry[0], entry[1]))
         for _, miner_id, block in candidates:
-            if fork_choice(self.chain.view(), block) is ForkChoice.ACCEPT:
+            if fork_choice(tip, block) is ForkChoice.ACCEPT:
                 return miner_id, block
         return None, None
 

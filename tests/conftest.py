@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import settings
 
-from spchain import wire
+from spchain import signing, wire
 from spchain.blocks import MicroBlock, TxCertificate, batch_vote_message, merkle_root
 from spchain.chameleon import encode_digest
 from spchain.consensus import ConsensusGroup, GroupMember, pin
@@ -30,6 +30,25 @@ def small_group():
 @pytest.fixture
 def rng():
     return random.Random(1234)
+
+
+@pytest.fixture
+def key_loads(monkeypatch):
+    """The raw keys ``verify_sig`` loads as Ed25519 public keys, in order,
+    starting from an empty key cache."""
+    loaded = []
+    real_keys = signing.Ed25519PublicKey
+
+    class CountingKeys:
+        @staticmethod
+        def from_public_bytes(public_key):
+            loaded.append(public_key)
+            return real_keys.from_public_bytes(public_key)
+
+    signing._load_public_key.cache_clear()
+    monkeypatch.setattr(signing, "Ed25519PublicKey", CountingKeys)
+    yield loaded
+    signing._load_public_key.cache_clear()
 
 
 def signed_members(weights, seed=b"cons"):

@@ -88,6 +88,17 @@ def test_verify_rejects_tampering():
     assert not verify_sig(b"message", sig, b"not-a-key")
 
 
+def test_each_key_is_loaded_once_and_a_malformed_one_every_time(key_loads):
+    kp = keypair_from_seed(b"signer")
+    sig = sign(b"message", kp)
+    assert verify_sig(b"message", sig, kp.public_key)
+    assert verify_sig(b"message", sig, kp.public_key)
+    assert not verify_sig(b"message", sig, b"not-a-key")
+    assert not verify_sig(b"message", sig, b"not-a-key")
+    # a failed load is not cached, so the malformed key is tried again
+    assert key_loads == [kp.public_key, b"not-a-key", b"not-a-key"]
+
+
 def test_address_is_truncated_pk_hash():
     kp = keypair_from_seed(b"signer")
     addr = address_of(kp.public_key)

@@ -112,6 +112,8 @@ def reference_mine(view, pk, target, max_attempts, rng):
         (target_from_zero_bits(6), True),
         (target_from_zero_bits(10), True),
         (target_from_zero_bits(40), False),  # runs out of budget
+        (0, False),  # no digest is below it: every draw is spent
+        (1 << 256, True),  # every digest is below it: solved at attempt 1
     ],
 )
 def test_mine_keyblock_matches_reference_loop(target, solvable):
@@ -124,9 +126,12 @@ def test_mine_keyblock_matches_reference_loop(target, solvable):
     )
     found = 0
     for seed in range(5):
-        result = mine_keyblock(view, (), kp, target, 3000, random.Random(seed))
-        nonce, attempts = reference_mine(view, kp.public_key, target, 3000, random.Random(seed))
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        result = mine_keyblock(view, (), kp, target, 3000, rng)
+        nonce, attempts = reference_mine(view, kp.public_key, target, 3000, reference_rng)
         assert result.attempts == attempts
+        # the same draws, in the same order, and no more
+        assert rng.getstate() == reference_rng.getstate()
         if nonce is None:
             assert result.block is None
             continue

@@ -5,6 +5,7 @@ import pytest
 from spchain.actors import EmrRecord, upload
 from spchain import actors as actors_mod
 from spchain import chain as chain_mod
+from spchain import signing as signing_mod
 from spchain import sim as sim_mod
 from spchain import tx as tx_mod
 from spchain.bench import bench_throughput
@@ -375,6 +376,32 @@ def test_each_microblock_is_hashed_once_per_height_not_each_append(monkeypatch):
     assert allowed < pinned
     assert 0 < calls <= allowed
     assert count_microblock_hashes(monkeypatch)[0] == calls
+
+
+def test_each_public_key_is_loaded_once(key_loads):
+    result = run_scenario(GOLDEN_BASE)
+    assert result.summary["chain_digest"] == GOLDEN["none"][1]
+    assert 0 < len(key_loads) == len(set(key_loads))
+    # every other verify reuses a loaded key
+    assert signing_mod._load_public_key.cache_info().hits > len(key_loads)
+
+
+def test_each_round_takes_one_tip_view_plus_the_adversarys(monkeypatch):
+    """The chain does not move while a round mines and chooses, so the
+    honest miners and fork choice share one view; the adversary takes its
+    own through ``mining_view``."""
+    counts = {"views": 0}
+    real_view = ChainState.view
+
+    def counting_view(self):
+        counts["views"] += 1
+        return real_view(self)
+
+    monkeypatch.setattr(ChainState, "view", counting_view)
+    cfg = dataclasses.replace(BASE, rounds=30, adversary_type="selfish", adversary_power=0.3)
+    result = run_scenario(cfg)
+    assert result.summary["rejected_blocks"] > 0
+    assert 0 < counts["views"] <= 2 * cfg.rounds
 
 
 # -- adversaries ------------------------------------------------------------------

@@ -472,3 +472,64 @@ def test_every_truncated_record_tx_encoding_raises_decode_error(tx):
     for end in range(len(data)):
         with pytest.raises(DecodeError):
             decode_tx(Reader(data[:end]))
+
+
+signed_register_txs = st.builds(
+    lambda seed, receiver, identity, fee: build_tx(
+        TxType.REGISTER,
+        RegisterPayload(receiver_id=receiver, identity_digest=identity),
+        keypair_from_seed(seed),
+        fee=fee,
+    ),
+    seed=st.binary(max_size=8),
+    receiver=st.text(max_size=12),
+    identity=st.binary(max_size=40),
+    fee=st.integers(0, 2**64 - 1),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(signed_register_txs)
+def test_every_truncated_register_tx_encoding_raises_decode_error(tx):
+    data = encode_tx(tx)
+    reader = Reader(data)
+    assert decode_tx(reader) == tx
+    reader.expect_end()
+    for end in range(len(data)):
+        with pytest.raises(DecodeError):
+            decode_tx(Reader(data[:end]))
+
+
+@st.composite
+def microblocks(draw):
+    """A microblock with drawn header fields, a chameleon root under
+    ``RECORD_KEYS`` and up to three signed record transactions."""
+    group = default_group()
+    m, r = draw(st.integers(0, group.p - 1)), draw(st.integers(1, group.p - 1))
+    return MicroBlock(
+        owner_patient_id=draw(st.text(max_size=12)),
+        institution_root=ch_hash(RECORD_KEYS.hk, m, r),
+        txs=tuple(draw(st.lists(record_txs(), max_size=3))),
+        creator_miner_id=draw(st.text(max_size=12)),
+        round_number=draw(st.integers(0, 2**64 - 1)),
+        prev_hash=draw(st.binary(max_size=40)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(microblocks())
+def test_microblock_roundtrip_property(block):
+    data = encode_block(block)
+    decoded = decode_block(data)
+    assert decoded == block
+    assert encode_block(decoded) == data
+    assert microblock_hash(decoded) == microblock_hash(block)
+
+
+@settings(max_examples=20, deadline=None)
+@given(microblocks())
+def test_every_truncated_microblock_encoding_raises_decode_error(block):
+    data = encode_block(block)
+    for end in range(len(data)):
+        with pytest.raises(DecodeError):
+            decode_block(data[:end])
