@@ -42,9 +42,10 @@ class Adversary:
     def active(self, round_number: int) -> bool:
         return True
 
-    def mining_view(self, chain: ChainState) -> Optional[ChainView]:
-        """View to mine on, or None to skip mining this round."""
-        return chain.view()
+    def mining_view(self, tip: ChainView, chain: ChainState) -> Optional[ChainView]:
+        """View to mine on, or None to skip mining this round; ``tip`` is
+        the round's view of the pinned tip of ``chain``."""
+        return tip
 
     def on_solution(self, round_number: int, block: KeyBlock) -> Optional[KeyBlock]:
         """Called with a freshly solved block; return it to publish now."""
@@ -93,21 +94,20 @@ class FlashMiner(Adversary):
     def active(self, round_number: int) -> bool:
         return round_number >= self.join_round
 
-    def mining_view(self, chain: ChainState) -> Optional[ChainView]:
-        view = chain.view()
+    def mining_view(self, tip: ChainView, chain: ChainState) -> Optional[ChainView]:
         if not self.attack:
-            return view
-        if view.tip_height == 0:
+            return tip
+        if tip.tip_height == 0:
             # nothing pinned to contradict yet; hold fire
             return None
         # fork off one block behind the pinned tip: the solved block lands
         # at the tip's height with a different hash, a direct attempt to
         # replace pinned history
-        tip_height = view.tip_height - 1
+        tip_height = tip.tip_height - 1
         return ChainView(
-            pinned_hashes=view.pinned_hashes,
+            pinned_hashes=tip.pinned_hashes,
             tip_height=tip_height,
-            tip_hash=view.pinned_hash_at(tip_height) or GENESIS_KEYBLOCK_HASH,
+            tip_hash=tip.pinned_hash_at(tip_height) or GENESIS_KEYBLOCK_HASH,
             penu_microblock_hash=chain.penu_microblock_hash_for(tip_height + 1),
         )
 

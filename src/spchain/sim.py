@@ -57,7 +57,7 @@ from .reputation import (
 )
 from .rewards import FeeSchedule, distribute_rewards
 from .scheduler import SchedulerState, schedule_batch
-from .signing import sign
+from .signing import Triple, sign, verify_ahead
 from .simconfig import ScenarioConfig
 from .tx import Transaction, TxType
 
@@ -75,6 +75,10 @@ WEIGHT_FLOOR = 0.01
 # verification per pinned transaction, per member
 BFT_BASE_S = 0.05
 PER_TX_VERIFY_S = 0.01
+
+# transactions whose signatures go to the verify worker together while a
+# round's traffic is built; the rest go once it is staged
+VERIFY_CHUNK = 4
 
 
 def _count(counts: list[int], chunk: int) -> None:
@@ -237,6 +241,17 @@ class Simulation:
     def _generate_traffic(self) -> None:
         cfg = self.config
         staged: list[Transaction] = []
+        checks: list[Triple] = []
+
+        def stage(tx: Transaction) -> None:
+            # the worker checks the signature while the round goes on;
+            # validate_tx collects its verdict
+            staged.append(tx)
+            checks.append((tx.body, tx.signature, tx.sender_pk))
+            if len(checks) == VERIFY_CHUNK:
+                verify_ahead(checks)
+                checks.clear()
+
         for patient_id in sorted(self.patients):
             patient = self.patients[patient_id]
             if patient_id not in self.chain.patients:
@@ -255,9 +270,7 @@ class Simulation:
                     patient_id=patient_id,
                     creation_round=self.round_number,
                 )
-                staged.append(
-                    make_upload(patient, inst, record, self.chain, fee=self.fees.tx_fee)
-                )
+                stage(make_upload(patient, inst, record, self.chain, fee=self.fees.tx_fee))
             if txs and self.rng.random() < cfg.label_rate:
                 target = next(tx for tx in reversed(txs) if tx.tx_type is TxType.MEDICAL)
                 inst = self.institutions[target.payload.receiver_id]
@@ -267,11 +280,12 @@ class Simulation:
                     patient_id=patient_id,
                     creation_round=self.round_number,
                 )
-                staged.append(
+                stage(
                     make_label(
                         patient, inst, target.tx_id, corrected, self.chain, fee=self.fees.tx_fee
                     )
                 )
+        verify_ahead(checks)
         # arrival order is arbitrary in a real network; members canonically
         # reorder an interval's submissions by id, which makes the pinned
         # history independent of the delivery permutation
@@ -316,7 +330,8 @@ class Simulation:
         # eight times the expected attempts per solution, split by power
         attempts_total = 8 << self.config.target_zero_bits
         # the chain does not change until the winner is pinned, so the
-        # honest miners and every fork choice share one view of its tip
+        # miners, the adversary's hook and every fork choice share one view
+        # of its tip
         tip = self.chain.view()
         candidates = []  # (virtual_time, miner_id, block)
         adversary_blocks = []  # published out-of-band this round
@@ -325,7 +340,7 @@ class Simulation:
             if share <= 0:
                 continue
             is_adv = miner_id == self.adversary.miner_id
-            view = self.adversary.mining_view(self.chain) if is_adv else tip
+            view = self.adversary.mining_view(tip, self.chain) if is_adv else tip
             if view is None:
                 continue
             budget = max(1, int(attempts_total * share + 0.5))

@@ -71,8 +71,8 @@ class Transaction:
 
     @cached_property
     def body(self) -> bytes:
-        """The signed bytes, encoded once per object: the fields are
-        frozen, and ``replace`` builds a new object."""
+        """The signed bytes, encoded once per object (``build_tx`` seeds
+        it): the fields are frozen, and ``replace`` builds a new object."""
         return signing_bytes(self.tx_type, self.payload, self.sender_pk, self.fee)
 
 
@@ -181,7 +181,7 @@ def build_tx(
     body = signing_bytes(tx_type, payload, signing_key.public_key, fee)
     signature = sign(body, signing_key)
     encoded = body + wire.var_bytes(signature)
-    return Transaction(
+    tx = Transaction(
         tx_type=tx_type,
         payload=payload,
         sender_pk=signing_key.public_key,
@@ -189,3 +189,6 @@ def build_tx(
         signature=signature,
         tx_id=compute_tx_id(encoded),
     )
+    # the bytes just signed are the body: seed its cache
+    tx.__dict__["body"] = body
+    return tx

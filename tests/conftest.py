@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -15,6 +16,20 @@ from spchain.tx import signing_bytes
 # failure from one run into the next.
 settings.register_profile("derandomized", derandomize=True, database=None)
 settings.load_profile("derandomized")
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Fail the run if the test process still has a child, running or a
+    zombie, once its signature-verify worker is stopped."""
+    signing.stop_worker()
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return  # no child left
+    session.exitstatus = pytest.ExitCode.TESTS_FAILED
+    reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+    if reporter is not None:
+        reporter.write_line("a child process outlived the test session", red=True)
 
 
 @pytest.fixture(scope="session")

@@ -404,6 +404,41 @@ def test_each_round_takes_one_tip_view_plus_the_adversarys(monkeypatch):
     assert 0 < counts["views"] <= 2 * cfg.rounds
 
 
+def test_a_selfish_run_takes_one_tip_view_per_round(monkeypatch):
+    """The adversary's mining hook is handed the round's view of the tip."""
+    counts = {"views": 0}
+    real_view = ChainState.view
+
+    def counting_view(self):
+        counts["views"] += 1
+        return real_view(self)
+
+    monkeypatch.setattr(ChainState, "view", counting_view)
+    cfg = dataclasses.replace(BASE, rounds=30, adversary_type="selfish", adversary_power=0.3)
+    result = run_scenario(cfg)
+    assert result.summary["rejected_blocks"] > 0
+    assert counts["views"] == cfg.rounds
+
+
+def test_pinned_patient_signatures_are_checked_by_the_worker(monkeypatch):
+    claimed = []
+    real_claim = signing_mod._Worker.claim
+
+    def recording_claim(self, triple):
+        verdict = real_claim(self, triple)
+        if verdict is not None:
+            claimed.append(triple)
+        return verdict
+
+    monkeypatch.setattr(signing_mod._Worker, "claim", recording_claim)
+    signing_mod.stop_worker()
+    result = run_scenario(GOLDEN_BASE)
+    assert result.summary["chain_digest"] == GOLDEN["none"][1]
+    pinned = [tx for mb in result.sim.chain.microblocks.values() for tx in mb.txs]
+    assert len(pinned) == result.summary["medical_txs_pinned"] > 0
+    assert {(tx.body, tx.signature, tx.sender_pk) for tx in pinned} <= set(claimed)
+
+
 # -- adversaries ------------------------------------------------------------------
 
 

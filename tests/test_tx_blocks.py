@@ -16,7 +16,9 @@ from spchain.blocks import (
     append_pinned_tx,
     batch_vote_message,
     decode_block,
+    decode_certificate,
     encode_block,
+    encode_certificate,
     institution_root,
     keyblock_hash,
     merkle_path_verifies,
@@ -409,6 +411,19 @@ certificates = st.builds(
         max_size=5,
     ).map(tuple),
 )
+
+
+@settings(max_examples=40, deadline=None)
+@given(certificates)
+def test_certificate_roundtrip_and_every_truncation_raises_decode_error(cert):
+    data = encode_certificate(cert)
+    reader = Reader(data)
+    assert decode_certificate(reader) == cert
+    reader.expect_end()
+    for end in range(len(data)):
+        with pytest.raises(DecodeError):
+            decode_certificate(Reader(data[:end]))
+
 
 keyblocks = st.builds(
     KeyBlock,
