@@ -8,6 +8,7 @@ themselves are immutable.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -24,6 +25,7 @@ from .blocks import (
 from .chameleon import ChameleonHashKey, ch_verify
 from .consensus import ConsensusGroup, check_certificate
 from .mining import check_puzzle
+from .reputation import CHUNK_SIZE
 from .signing import address_of, verify_sig
 from .tx import (
     LabelPayload,
@@ -162,6 +164,14 @@ class ChainState:
         # hash, so an append does not hash the patient's history
         self._last_mb: list[bytes | MicroBlock] = [GENESIS_MICROBLOCK_HASH]
         self.current_round = 0
+        # reputation inputs: pinned keyblocks per miner key, and per institution
+        # one count per chunk c of heights c*CHUNK_SIZE+1 .. (c+1)*CHUNK_SIZE,
+        # up to the tip's chunk; chunk 0 also takes appends made at tip 0
+        self.keyblocks_mined: Counter[str] = Counter()
+        self.registers_received: dict[str, list[int]] = {}
+        self.medical_received: dict[str, list[int]] = {}
+        self.medical_tx_count = 0
+        self._chunk_count = 1
         # instrumentation: microblock store reads, for retrieval-cost checks
         self.store_accesses = 0
 
@@ -169,6 +179,8 @@ class ChainState:
 
     def register_institution(self, info: InstitutionInfo) -> None:
         self.institutions[info.institution_id] = info
+        self.registers_received.setdefault(info.institution_id, [0] * self._chunk_count)
+        self.medical_received.setdefault(info.institution_id, [0] * self._chunk_count)
 
     def patient_id_for(self, public_key: bytes) -> Optional[str]:
         return self._patients_by_pk.get(public_key)
@@ -236,9 +248,18 @@ class ChainState:
             raise ValueError("keyblock names the wrong penultimate microblock")
         if not check_puzzle(block):
             raise ValueError("keyblock does not solve its puzzle")
+        if any(tx.payload.receiver_id not in self.institutions for tx in block.register_txs):
+            raise ValueError("keyblock registers a patient at an unknown institution")
         self.pinned_keyblocks.append(block)
         self._pinned_hashes.append(digest)
         self._last_mb.append(self._settle(-1))
+        if (block.height - 1) // CHUNK_SIZE == self._chunk_count:
+            self._chunk_count += 1
+            for counts in (*self.registers_received.values(), *self.medical_received.values()):
+                counts.append(0)
+        self.keyblocks_mined[address_of(block.miner_public_key)] += 1
+        for tx in block.register_txs:
+            self.registers_received[tx.payload.receiver_id][-1] += 1
 
     def create_microblock(self, microblock: MicroBlock) -> None:
         patient_id = microblock.owner_patient_id
@@ -264,10 +285,14 @@ class ChainState:
         """Append ``tx``, whose certificate must pin its id in ``group``
         and whose id must be new to the microblock."""
         check_certificate(tx.tx_id, cert, group)
+        # an unknown receiver raises here, before anything changes
+        received = self.medical_received[tx.payload.receiver_id]
         updated = append_pinned_tx(self.microblocks[patient_id], tx)
         self._records[patient_id].append(tx)
         self.microblocks[patient_id] = updated
         self._touch_microblock(updated)
+        received[-1] += 1
+        self.medical_tx_count += 1
         return updated
 
     def replace_microblock(self, microblock: MicroBlock) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 # keyblocks per chunk, and the offset a and scale lam of f(x)
 CHUNK_SIZE = 10
@@ -29,8 +30,8 @@ class ChunkStats:
     keyblocks. ``microblock_count`` and ``tx_count`` are chain-wide totals.
     """
 
-    tr: tuple[int, ...]
-    tml: tuple[int, ...]
+    tr: Sequence[int]
+    tml: Sequence[int]
     chunk_size: int
     chain_length: int
     microblock_count: int

@@ -81,13 +81,6 @@ PER_TX_VERIFY_S = 0.01
 VERIFY_CHUNK = 4
 
 
-def _count(counts: list[int], chunk: int) -> None:
-    """Add one to ``counts[chunk]``, zero-filling the chunks before it."""
-    if len(counts) <= chunk:
-        counts.extend([0] * (chunk + 1 - len(counts)))
-    counts[chunk] += 1
-
-
 @dataclass
 class SimulationResult:
     config: ScenarioConfig
@@ -126,10 +119,6 @@ class Simulation:
             self.chain.register_institution(actor.chain_info())
 
         self.honest: dict[str, bool] = {mid: True for mid in self.institutions}
-        self.pinned_by: dict[str, int] = {mid: 0 for mid in self.institutions}
-        # per institution, per chunk: register resp. medical/label receipts
-        self.tr_counts: dict[str, list[int]] = {mid: [] for mid in self.institutions}
-        self.tml_counts: dict[str, list[int]] = {mid: [] for mid in self.institutions}
         self.kb_rewards: dict[str, float] = {mid: 0.0 for mid in self.institutions}
         self.total_rewards: dict[str, float] = {mid: 0.0 for mid in self.institutions}
 
@@ -151,10 +140,13 @@ class Simulation:
         self.invalid_txs = 0
         self.max_pin_latency = 0
         self.victim_latencies: list[int] = []
-        self.adversary_group_rounds: list[int] = []
+        self.adversary_group_rounds = 0
         self.detected_round: Optional[int] = None
         self.fraud_fees_paid = 0.0
-        self.total_medical_txs = 0
+
+    @property
+    def total_medical_txs(self) -> int:
+        return self.chain.medical_tx_count
 
     # -- helpers ----------------------------------------------------------
 
@@ -182,20 +174,16 @@ class Simulation:
                 self.detected_round = self.round_number
 
     def reputation_of(self, miner_id: str) -> tuple[float, float, float]:
-        total_pinned = len(self.chain.pinned_keyblocks)
         honest = self.honest[miner_id]
-        r1 = compute_r1(self.pinned_by[miner_id], total_pinned, honest)
-        chain_length = total_pinned
+        chain_length = self.chain.tip_height
+        r1 = compute_r1(self.chain.keyblocks_mined[miner_id], chain_length, honest)
         n_micro = len(self.chain.microblocks)
         if chain_length == 0 or n_micro == 0 or self.total_medical_txs == 0:
             r2 = 0.0
         else:
-            chunk_count = -(-chain_length // CHUNK_SIZE)
-            tr = self.tr_counts[miner_id]
-            tml = self.tml_counts[miner_id]
             stats = ChunkStats(
-                tr=tuple(tr) + (0,) * (chunk_count - len(tr)),
-                tml=tuple(tml) + (0,) * (chunk_count - len(tml)),
+                tr=self.chain.registers_received[miner_id],
+                tml=self.chain.medical_received[miner_id],
                 chunk_size=CHUNK_SIZE,
                 chain_length=chain_length,
                 microblock_count=n_micro,
@@ -300,8 +288,11 @@ class Simulation:
         seen_digests: set[bytes] = set()
         for tx in sorted(self.register_mempool, key=lambda t: t.tx_id):
             ok, reason = self.chain.validate_tx(tx)
-            duplicate = tx.payload.identity_digest in seen_digests
-            if (not ok and reason == ALREADY_REGISTERED) or duplicate:
+            if not ok and reason != ALREADY_REGISTERED:
+                # a forged or malformed copy is no evidence against anyone
+                self.invalid_txs += 1
+                continue
+            if not ok or tx.payload.identity_digest in seen_digests:
                 pid = self.chain.patient_id_for(tx.sender_pk)
                 if pid is not None and self.chain.patients[pid].identity_digest == (
                     tx.payload.identity_digest
@@ -311,9 +302,6 @@ class Simulation:
                 # digest once already; presenting it under a fresh keypair
                 # is fabrication
                 self._mark_dishonest(tx.payload.receiver_id)
-                continue
-            if not ok:
-                self.invalid_txs += 1
                 continue
             if len(packed) < self.config.keyblock_capacity:
                 packed.append(tx)
@@ -378,10 +366,10 @@ class Simulation:
         candidates.sort(key=lambda entry: (entry[0], entry[1]))
         for _, miner_id, block in candidates:
             if fork_choice(tip, block) is ForkChoice.ACCEPT:
-                return miner_id, block
-        return None, None
+                return block
+        return None
 
-    def _pin_keyblock(self, group: ConsensusGroup, miner_id: str, block: KeyBlock) -> bool:
+    def _pin_keyblock(self, group: ConsensusGroup, block: KeyBlock) -> bool:
         digest = keyblock_hash(block)
         outcome = pin(digest, self._batch_votes(group, [digest], lambda _: [True]), group)
         if isinstance(outcome, InsufficientQuorum):
@@ -393,18 +381,14 @@ class Simulation:
             )
         pinned = dataclasses.replace(block, pin_cert=outcome)
         self.chain.add_pinned_keyblock(pinned, group)
-        self.pinned_by[miner_id] += 1
         for miner, amount in distribute_rewards(pinned, self.fees, group).items():
             self.kb_rewards[miner] = self.kb_rewards.get(miner, 0.0) + amount
             self.total_rewards[miner] = self.total_rewards.get(miner, 0.0) + amount
 
         creator = max(group.members, key=lambda m: (m.weight, m.miner_id)).miner_id
-        chunk = (pinned.height - 1) // CHUNK_SIZE
         for tx in pinned.register_txs:
             info = self.chain.register_patient(tx)
-            receiver = tx.payload.receiver_id
-            _count(self.tr_counts[receiver], chunk)
-            inst = self.institutions[receiver]
+            inst = self.institutions[tx.payload.receiver_id]
             leaves = [inst.info_leaf]
             self.patient_leaves[info.patient_id] = list(leaves)
             root = institution_root(leaves, inst.ch_keys.hk, inst.rng)
@@ -428,7 +412,6 @@ class Simulation:
 
     def _pin_tx_batch(self, group: ConsensusGroup, batch: list[Transaction]) -> int:
         pinned_count = 0
-        chunk = (self.chain.tip_height - 1) // CHUNK_SIZE
         requeue: dict[str, list[Transaction]] = {}
         pos = 0
         while pos < len(batch):
@@ -441,7 +424,7 @@ class Simulation:
                     # next interval
                     requeue.setdefault(tx.payload.receiver_id, []).append(tx)
                     continue
-                self._append_pinned(group, tx, outcome, chunk)
+                self._append_pinned(group, tx, outcome)
                 pinned_count += 1
         for receiver_id, txs in requeue.items():
             self.scheduler.queues[receiver_id].extendleft(reversed(txs))
@@ -498,9 +481,7 @@ class Simulation:
             votes.append((m.miner_id, bitmap, sign(message, keypair)))
         return votes
 
-    def _append_pinned(
-        self, group: ConsensusGroup, tx: Transaction, cert: TxCertificate, chunk: int
-    ) -> None:
+    def _append_pinned(self, group: ConsensusGroup, tx: Transaction, cert: TxCertificate) -> None:
         patient_id = self.chain.patient_id_for(tx.sender_pk)
         receiver = tx.payload.receiver_id
         inst = self.institutions[receiver]
@@ -519,8 +500,6 @@ class Simulation:
                 dataclasses.replace(current, institution_root=new_root)
             )
         self.chain.append_to_microblock(patient_id, tx, cert, group)
-        self.total_medical_txs += 1
-        _count(self.tml_counts[receiver], chunk)
 
         microblock = self.chain.microblocks[patient_id]
         for miner, amount in distribute_rewards(
@@ -547,17 +526,16 @@ class Simulation:
             self.reputation_rows.append((self.round_number, miner_id, r1, r2, combined))
         group = self.current_group(reputations)
         adv_in_group = int(group.member(self.adversary.miner_id) is not None)
-        if adv_in_group:
-            self.adversary_group_rounds.append(self.round_number)
+        self.adversary_group_rounds += adv_in_group
 
         self._spawn_patients()
         self._generate_traffic()
 
         registers = self._pack_registers()
-        winner, block = self._mine_round(registers)
+        block = self._mine_round(registers)
         registers_pinned = 0
         keyblock_pinned = 0
-        if block is not None and self._pin_keyblock(group, winner, block):
+        if block is not None and self._pin_keyblock(group, block):
             keyblock_pinned = 1
             registers_pinned = len(block.register_txs)
         elif block is not None:
@@ -635,7 +613,7 @@ class Simulation:
             "victim_max_latency": max(self.victim_latencies, default=0),
             "adversary_type": self.config.adversary_type,
             "adversary_reward_share": self.adversary_reward_share(),
-            "adversary_group_rounds": len(self.adversary_group_rounds),
+            "adversary_group_rounds": self.adversary_group_rounds,
             "adversary_detected_round": -1 if self.detected_round is None else self.detected_round,
             "fraud_fees_paid": self.fraud_fees_paid,
             "mining_rewards_total": total_kb,

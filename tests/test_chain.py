@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,7 +28,7 @@ from spchain.blocks import (
 from spchain.chain import ChainState
 from spchain.chameleon import ch_hash, message_scalar
 from spchain.mining import check_puzzle, mine_keyblock
-from spchain.signing import keypair_from_seed, sign
+from spchain.signing import address_of, keypair_from_seed, sign
 from spchain.tx import LabelPayload, MedicalPayload, Transaction, TxType, build_tx
 from tests.conftest import pin_subject, signed_members
 
@@ -120,6 +121,7 @@ KEYBLOCK_ROWS = {
     "certificate over another keyblock": "does not reach the batch root",
     "nonce does not solve": "does not solve its puzzle",
     "wrong penu": "wrong penultimate microblock",
+    "register at an unknown institution": "unknown institution",
 }
 
 
@@ -164,6 +166,10 @@ def test_chain_rejects_tampered_keyblock(world, row):
         subject = keyblock_hash(block)
     elif row == "wrong penu":
         block = with_nonce(dataclasses.replace(block, penu_microblock_hash=b"\x00" * 32), True)
+        subject = keyblock_hash(block)
+    elif row == "register at an unknown institution":
+        tx = register(setup_patient(b"bob"), setup_institution(b"stranger"), b"bob-id")
+        block = dataclasses.replace(block, register_txs=(tx,))
         subject = keyblock_hash(block)
     cert = tampered(row, pin_subject(subject, *HEAVY))
     reason = CERTIFICATE_ROWS.get(row) or KEYBLOCK_ROWS[row]
@@ -293,6 +299,65 @@ def test_last_microblock_hash_is_of_the_touched_version(world, trio):
     assert chain.last_microblock_hash(1) == touched[1]
     assert chain.last_microblock_hash(2) == touched[2]
     assert chain.penu_microblock_hash_for(4) == touched[2]
+
+
+# -- reputation inputs ---------------------------------------------------------
+
+
+def pin_registering(chain, trio, *institutions):
+    """Pin the next keyblock, carrying one register at each institution."""
+    txs = tuple(
+        register(setup_patient(b"p/%d/%d" % (chain.tip_height, i)), inst, b"id/%d" % i)
+        for i, inst in enumerate(institutions)
+    )
+    block = dataclasses.replace(make_keyblock(chain), register_txs=txs)
+    chain.add_pinned_keyblock(pinned(block, trio), trio[0])
+
+
+def test_reputation_inputs_are_counted_per_chunk_as_blocks_land(world, trio):
+    """Chunk c holds heights 10c+1 .. 10c+10 and, for chunk 0, tip 0. Every
+    institution's lists reach the tip's chunk, also one registered late."""
+    chain, hospital, patient = registered(world)
+    h = hospital.address
+
+    def append(receiver):
+        tx = medical_tx(chain, hospital, patient, receiver=receiver.address)
+        chain.append_to_microblock(patient.address, tx, pin_subject(tx.tx_id, *trio), trio[0])
+
+    append(hospital)  # at tip 0
+    assert (chain.registers_received[h], chain.medical_received[h]) == ([0], [1])
+    pin_registering(chain, trio, hospital)  # height 1
+    while chain.tip_height < 9:
+        pin_next(chain, trio)
+    pin_registering(chain, trio, hospital)  # height 10
+    append(hospital)
+    assert (chain.registers_received[h], chain.medical_received[h]) == ([2], [2])
+
+    clinic = setup_institution(b"clinic")
+    chain.register_institution(clinic.chain_info())
+    c = clinic.address
+    assert (chain.registers_received[c], chain.medical_received[c]) == ([0], [0])
+    pin_registering(chain, trio, hospital, clinic)  # height 11
+    append(clinic)
+    assert (chain.registers_received[h], chain.medical_received[h]) == ([2, 1], [2, 0])
+    assert (chain.registers_received[c], chain.medical_received[c]) == ([0, 1], [0, 1])
+
+    while chain.tip_height < 20:
+        pin_next(chain, trio)
+    assert len(chain.registers_received[h]) == 2
+    pin_registering(chain, trio, clinic)  # height 21
+    append(hospital)
+    assert (chain.registers_received[h], chain.medical_received[h]) == ([2, 1, 0], [2, 0, 1])
+    assert (chain.registers_received[c], chain.medical_received[c]) == ([0, 1, 1], [0, 1, 0])
+    assert chain.medical_tx_count == 4
+    miner = address_of(chain.pinned_keyblocks[0].miner_public_key)
+    assert chain.keyblocks_mined == Counter({miner: 21})
+
+    late = setup_institution(b"late")
+    chain.register_institution(late.chain_info())
+    assert chain.registers_received[late.address] == [0, 0, 0]
+    chain.register_institution(hospital.chain_info())  # again: counts stand
+    assert chain.registers_received[h] == [2, 1, 0]
 
 
 # -- validation reason codes -----------------------------------------------------

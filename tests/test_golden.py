@@ -10,12 +10,15 @@ with a note in CHANGES.md that says why it moved.
 
 import dataclasses
 import hashlib
+from collections import Counter
 
 import pytest
 
 from spchain.bench import BenchCell, run_cell
 from spchain.blocks import decode_block, encode_block, microblock_hash
 from spchain.metrics import metrics_csv_text, reputation_csv_text, summary_text
+from spchain.reputation import CHUNK_SIZE
+from spchain.signing import address_of
 from spchain.sim import run_scenario
 from spchain.simconfig import ScenarioConfig
 from tests.conftest import fresh_microblock_encoding
@@ -116,6 +119,29 @@ def test_microblock_hashes_match_a_fresh_encoding(name):
         assert microblock_hash(decoded) == microblock_hash(mb)
         redacted += len(sim.patient_leaves[patient_id]) > 1
     assert redacted > 0
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_reputation_inputs_recount_from_the_pinned_chain(name):
+    """The counters the chain keeps as blocks land equal a recount over the
+    pinned keyblocks and microblocks. The chunk of an append is not on the
+    chain, so medical/label receipts are recounted as totals."""
+    chain = run_scenario(dataclasses.replace(BASE, **GOLDEN[name][0])).sim.chain
+    keyblocks = chain.pinned_keyblocks
+    assert chain.keyblocks_mined == Counter(address_of(kb.miner_public_key) for kb in keyblocks)
+    chunks = -(-len(keyblocks) // CHUNK_SIZE)
+    registers = {inst: [0] * chunks for inst in chain.institutions}
+    for kb in keyblocks:
+        for tx in kb.register_txs:
+            registers[tx.payload.receiver_id][(kb.height - 1) // CHUNK_SIZE] += 1
+    assert chain.registers_received == registers
+    entries = [tx for mb in chain.microblocks.values() for tx in mb.txs]
+    assert chain.medical_tx_count == len(entries) > 0
+    received = Counter(tx.payload.receiver_id for tx in entries)
+    assert {inst: sum(counts) for inst, counts in chain.medical_received.items()} == {
+        inst: received[inst] for inst in chain.institutions
+    }
+    assert all(len(counts) == chunks for counts in chain.medical_received.values())
 
 
 def test_bench_cell_matches_recorded():

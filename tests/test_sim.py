@@ -148,6 +148,31 @@ def test_reputation_rows_in_range():
         assert combined == pytest.approx(0.5 * (r1 + r2))
 
 
+@pytest.mark.parametrize("forgery", ["fresh id", "flipped signature"])
+def test_a_forged_register_copy_is_invalid_not_evidence(forgery):
+    """A copy of an honest patient's pending register, refused for a reason
+    other than ALREADY_REGISTERED, counts as invalid and does not frame the
+    receiver, even when it sorts after the original."""
+    sim = Simulation(BASE)
+    sim._spawn_patients()
+    original = sim.register_mempool[0]
+    copy = dataclasses.replace(original, tx_id=b"\xff" * 32)
+    reason = chain_mod.BAD_TX_ID
+    if forgery == "flipped signature":
+        signature = bytes([original.signature[0] ^ 1]) + original.signature[1:]
+        copy = dataclasses.replace(copy, signature=signature)
+        reason = chain_mod.BAD_SIGNATURE
+    assert sim.chain.validate_tx(copy) == (False, reason)
+    sim.register_mempool.append(copy)
+
+    packed = sim._pack_registers()
+
+    assert original in packed and copy not in packed
+    assert sim.invalid_txs == 1
+    assert sim.detected_round is None
+    assert all(sim.honest.values())
+
+
 def test_weight_floor_bootstraps_round_one():
     sim = Simulation(BASE)
     record = sim.run_round()
@@ -266,9 +291,9 @@ def test_replays_and_same_batch_repeats_are_pinned_once():
 
     assert sim.chain.microblocks[patient.address].txs == (earlier, fresh)
     assert sim.invalid_txs == invalid + 2
-    assert sim.total_medical_txs == reference.total_medical_txs
+    assert sim.chain.medical_tx_count == reference.chain.medical_tx_count
     assert sim.total_rewards == reference.total_rewards
-    assert sim.tml_counts == reference.tml_counts
+    assert sim.chain.medical_received == reference.chain.medical_received
 
 
 def count_vote_signatures(monkeypatch):
@@ -294,9 +319,9 @@ def count_vote_signatures(monkeypatch):
         counts["allowed"] += GOLDEN_BASE.group_size * bool(batch)
         return batch
 
-    def counting_pin_keyblock(self, group, miner_id, block):
+    def counting_pin_keyblock(self, group, block):
         counts["allowed"] += group.size
-        return real_pin_keyblock(self, group, miner_id, block)
+        return real_pin_keyblock(self, group, block)
 
     monkeypatch.setattr(sim_mod, "sign", counting_sign)
     monkeypatch.setattr(sim_mod, "schedule_batch", counting_schedule)
