@@ -239,9 +239,12 @@ class ChainState:
 
     def add_pinned_keyblock(self, block: KeyBlock, group: ConsensusGroup) -> None:
         """Extend the pinned tip with ``block``, whose certificate must pin
-        its hash in ``group`` (the group of the round it was pinned in)."""
+        its hash in ``group`` (the group of the round it was pinned in) as
+        entry 0 of the round's batch."""
         digest = keyblock_hash(block)
         check_certificate(digest, block.pin_cert, group)
+        if block.pin_cert.index != 0:
+            raise ValueError("not pinned: a keyblock is entry 0 of its round's batch")
         if block.height != self.tip_height + 1 or block.prev_keyblock_hash != self.tip_hash:
             raise ValueError("keyblock does not extend the pinned tip")
         if block.penu_microblock_hash != self.penu_microblock_hash_for(block.height):

@@ -7,9 +7,11 @@ group-selection time.
 
 Subjects are voted on per batch: each member signs the batch's Merkle root
 and its accept bitmap once, and the rule above is applied to each subject
-over the members that accepted it. A keyblock is the one-entry batch of
-its hash. A certificate carries only the votes; its count, weights and
-membership are always taken from the group that signed it.
+over the members that accepted it. The group votes once per round: entry 0
+of the round's batch is the keyblock's hash, and the other entries are the
+round's transactions, so a keyblock short of quorum sinks none of them. A
+certificate carries only the votes; its count, weights and membership are
+always taken from the group that signed it.
 """
 
 from __future__ import annotations
@@ -211,6 +213,6 @@ def pin(
     votes: Sequence[tuple[str, bytes, bytes]],
     group: ConsensusGroup,
 ) -> Union[TxCertificate, InsufficientQuorum]:
-    """Pin one subject (a keyblock) as the one-entry batch
-    ``[subject_hash]``: its certificate, or the shortfall."""
+    """Pin one subject as the one-entry batch ``[subject_hash]``: its
+    certificate, or the shortfall."""
     return pin_batch([subject_hash], votes, group).outcomes[0]

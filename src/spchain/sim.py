@@ -1,9 +1,14 @@
 """Deterministic round-based network simulator.
 
 One round models one keyblock interval: traffic is generated, miners race
-the puzzle with attempt budgets proportional to their power share, the
-consensus group pins the winning keyblock, registers new patients, then
-drains and pins a fair batch of medical/label transactions.
+the puzzle with attempt budgets proportional to their power share, and a
+fair batch of medical/label transactions is drained from the queues. The
+consensus group then votes once on the round: entry 0 of the voted batch
+is the winning keyblock's hash, and the other entries are the batch's
+first segment, decided against the chain before the keyblock lands. Each
+entry is tallied on its own. The keyblock lands first, with the patients
+it registers, then the segment's pinned transactions; a batch that a
+label splits into later segments gets one more vote per segment.
 
 Determinism: a single seeded RNG drives every random choice in a fixed
 order, and same-round transaction delivery is canonically reordered by
@@ -43,7 +48,7 @@ from .blocks import (
     update_institution_root,
 )
 from .chain import ALREADY_REGISTERED, ChainState
-from .consensus import ConsensusGroup, InsufficientQuorum, pin, pin_batch, select_group
+from .consensus import ConsensusGroup, InsufficientQuorum, pin_batch, select_group
 from .metrics import MetricsRecord
 from .mining import ForkChoice, fork_choice, mine_keyblock, target_from_zero_bits
 from .reputation import (
@@ -369,11 +374,21 @@ class Simulation:
                 return block
         return None
 
-    def _pin_keyblock(self, group: ConsensusGroup, block: KeyBlock) -> bool:
-        digest = keyblock_hash(block)
-        outcome = pin(digest, self._batch_votes(group, [digest], lambda _: [True]), group)
+    def _pin_keyblock(
+        self, group: ConsensusGroup, block: KeyBlock, batch: list[Transaction]
+    ) -> tuple[bool, list[tuple[Transaction, TxCertificate | InsufficientQuorum]], int]:
+        """Vote once on ``block`` and the first segment of ``batch``: entry 0
+        is the keyblock's hash, and the rest are the segment's transactions,
+        decided against the chain before ``block`` lands. Entries are
+        tallied apart, so ``block`` lands if entry 0 reaches quorum, whatever
+        the segment's outcomes. Returns whether it landed, the segment's
+        transactions paired with their outcomes, and where the next segment
+        starts."""
+        txs, pos = self._decide_segment(batch, 0)
+        outcome, *tx_outcomes = self._vote_on_segment(group, [keyblock_hash(block)], txs)
+        voted = list(zip(txs, tx_outcomes))
         if isinstance(outcome, InsufficientQuorum):
-            return False
+            return False, voted, pos
         if self.chain.tip_height >= block.height:
             self.pinned_conflicts += 1
             raise InvariantViolation(
@@ -408,17 +423,23 @@ class Simulation:
             self.register_mempool = [
                 tx for tx in self.register_mempool if tx.tx_id not in pinned_ids
             ]
-        return True
+        return True, voted, pos
 
-    def _pin_tx_batch(self, group: ConsensusGroup, batch: list[Transaction]) -> int:
+    def _pin_tx_batch(
+        self,
+        group: ConsensusGroup,
+        batch: list[Transaction],
+        voted: list[tuple[Transaction, TxCertificate | InsufficientQuorum]],
+        pos: int,
+    ) -> int:
+        """Land ``voted``, the first segment's transactions with their
+        outcomes, then decide and vote on each later segment of ``batch``
+        from ``pos`` on, one vote per segment. Returns how many were
+        pinned."""
         pinned_count = 0
         requeue: dict[str, list[Transaction]] = {}
-        pos = 0
-        while pos < len(batch):
-            txs, pos = self._decide_segment(batch, pos)
-            if not txs:
-                continue
-            for tx, outcome in zip(txs, self._vote_on_segment(group, txs)):
+        while True:
+            for tx, outcome in voted:
                 if isinstance(outcome, InsufficientQuorum):
                     # back to the head of its queue (FIFO preserved); retried
                     # next interval
@@ -426,6 +447,10 @@ class Simulation:
                     continue
                 self._append_pinned(group, tx, outcome)
                 pinned_count += 1
+            if pos == len(batch):
+                break
+            txs, pos = self._decide_segment(batch, pos)
+            voted = list(zip(txs, self._vote_on_segment(group, [], txs))) if txs else []
         for receiver_id, txs in requeue.items():
             self.scheduler.queues[receiver_id].extendleft(reversed(txs))
         return pinned_count
@@ -458,16 +483,21 @@ class Simulation:
             valid.append(tx)
         return valid, pos
 
-    def _vote_on_segment(self, group: ConsensusGroup, txs: list[Transaction]):
-        """The tally of the segment: each transaction's certificate or
-        shortfall."""
+    def _vote_on_segment(
+        self, group: ConsensusGroup, head: list[bytes], txs: list[Transaction]
+    ):
+        """The tally of one vote on ``head``, a keyblock hash or nothing,
+        followed by the segment ``txs``: each entry's certificate or
+        shortfall, in that order. Every member accepts the head."""
         adversary = self.adversary
 
         def accepts(miner_id: str) -> list[bool]:
-            return [miner_id != adversary.miner_id or adversary.votes_for_tx(tx) for tx in txs]
+            return [True] * len(head) + [
+                miner_id != adversary.miner_id or adversary.votes_for_tx(tx) for tx in txs
+            ]
 
-        tx_ids = [tx.tx_id for tx in txs]
-        return pin_batch(tx_ids, self._batch_votes(group, tx_ids, accepts), group).outcomes
+        subjects = head + [tx.tx_id for tx in txs]
+        return pin_batch(subjects, self._batch_votes(group, subjects, accepts), group).outcomes
 
     def _batch_votes(self, group: ConsensusGroup, subjects: list[bytes], accepts):
         """Each member signs the batch's Merkle root and its accept bitmap,
@@ -533,20 +563,17 @@ class Simulation:
 
         registers = self._pack_registers()
         block = self._mine_round(registers)
-        registers_pinned = 0
-        keyblock_pinned = 0
-        if block is not None and self._pin_keyblock(group, block):
-            keyblock_pinned = 1
-            registers_pinned = len(block.register_txs)
-        elif block is not None:
-            self.register_mempool.extend(block.register_txs)
+        batch = schedule_batch(self.scheduler, reputations)
+        landed, voted, pos = False, [], 0
+        if block is not None:
+            landed, voted, pos = self._pin_keyblock(group, block, batch)
+            if not landed:
+                self.register_mempool.extend(block.register_txs)
         else:
             self.register_mempool.extend(registers)
-
-        micro_pinned = 0
-        if self.chain.tip_height >= 1:
-            batch = schedule_batch(self.scheduler, reputations)
-            micro_pinned = self._pin_tx_batch(group, batch)
+        keyblock_pinned = int(landed)
+        registers_pinned = len(block.register_txs) if landed else 0
+        micro_pinned = self._pin_tx_batch(group, batch, voted, pos)
 
         kb_tps = registers_pinned / cfg.kb_interval_s
         if micro_pinned > 0:

@@ -5,9 +5,15 @@ import pytest
 from hypothesis import settings
 
 from spchain import signing, wire
-from spchain.blocks import MicroBlock, TxCertificate, batch_vote_message, merkle_root
+from spchain.blocks import (
+    MicroBlock,
+    TxCertificate,
+    accept_bitmap,
+    batch_vote_message,
+    merkle_root,
+)
 from spchain.chameleon import encode_digest
-from spchain.consensus import ConsensusGroup, GroupMember, pin
+from spchain.consensus import ConsensusGroup, GroupMember, pin, pin_batch
 from spchain.group import BilinearGroup, default_group
 from spchain.signing import keypair_from_seed, sign
 from spchain.tx import signing_bytes
@@ -101,6 +107,18 @@ def pin_subject(subject: bytes, consensus_group, keypairs) -> TxCertificate:
     outcome = pin(subject, list(votes.values()), consensus_group)
     assert isinstance(outcome, TxCertificate)
     return outcome
+
+
+def pin_entries(subjects, consensus_group, keypairs) -> tuple:
+    """Pin ``subjects`` as one batch, every member signing and accepting
+    every entry; the outcome of each entry, in order."""
+    bitmap = accept_bitmap([True] * len(subjects))
+    message = batch_vote_message(consensus_group.epoch, merkle_root(subjects), bitmap)
+    votes = [
+        (m.miner_id, bitmap, sign(message, keypairs[m.miner_id]))
+        for m in consensus_group.members
+    ]
+    return pin_batch(subjects, votes, consensus_group).outcomes
 
 
 def fresh_microblock_encoding(block: MicroBlock) -> bytes:

@@ -30,7 +30,7 @@ from spchain.chameleon import ch_hash, message_scalar
 from spchain.mining import check_puzzle, mine_keyblock
 from spchain.signing import address_of, keypair_from_seed, sign
 from spchain.tx import LabelPayload, MedicalPayload, Transaction, TxType, build_tx
-from tests.conftest import pin_subject, signed_members
+from tests.conftest import pin_entries, pin_subject, signed_members
 
 
 @pytest.fixture
@@ -122,6 +122,7 @@ KEYBLOCK_ROWS = {
     "nonce does not solve": "does not solve its puzzle",
     "wrong penu": "wrong penultimate microblock",
     "register at an unknown institution": "unknown institution",
+    "keyblock hash at entry 1": "entry 0",
 }
 
 
@@ -171,7 +172,10 @@ def test_chain_rejects_tampered_keyblock(world, row):
         tx = register(setup_patient(b"bob"), setup_institution(b"stranger"), b"bob-id")
         block = dataclasses.replace(block, register_txs=(tx,))
         subject = keyblock_hash(block)
-    cert = tampered(row, pin_subject(subject, *HEAVY))
+    if row == "keyblock hash at entry 1":
+        cert = pin_entries([b"\x02" * 32, subject], *HEAVY)[1]
+    else:
+        cert = tampered(row, pin_subject(subject, *HEAVY))
     reason = CERTIFICATE_ROWS.get(row) or KEYBLOCK_ROWS[row]
     with pytest.raises(ValueError, match=reason):
         chain.add_pinned_keyblock(dataclasses.replace(block, pin_cert=cert), HEAVY[0])

@@ -204,7 +204,7 @@ def one_patient_sim(adversary_type):
     (patient,) = sim.patients.values()
     earlier = visit(sim, patient, sim.miners[1], b"earlier")
     sim.scheduler.enqueue(sim.miners[1].address, earlier)
-    assert sim._pin_tx_batch(group, schedule_batch(sim.scheduler, {})) == 1
+    assert sim._pin_tx_batch(group, schedule_batch(sim.scheduler, {}), [], 0) == 1
     return sim, group, patient, earlier
 
 
@@ -247,7 +247,7 @@ def test_label_sees_its_target_decided_earlier_in_the_batch(adversary_type):
     assert batch == [m, l]
     invalid, accesses = sim.invalid_txs, sim.chain.store_accesses
 
-    pinned = sim._pin_tx_batch(group, batch)
+    pinned = sim._pin_tx_batch(group, batch, [], 0)
 
     txs = sim.chain.microblocks[patient.address].txs
     queue = list(sim.scheduler.queues[victim.address])
@@ -286,8 +286,9 @@ def test_replays_and_same_batch_repeats_are_pinned_once():
     batch = schedule_batch(sim.scheduler, {})
     assert batch == [earlier, fresh, fresh]
 
-    assert sim._pin_tx_batch(group, batch) == 1
-    assert reference._pin_tx_batch(ref_group, schedule_batch(reference.scheduler, {})) == 1
+    assert sim._pin_tx_batch(group, batch, [], 0) == 1
+    ref_batch = schedule_batch(reference.scheduler, {})
+    assert reference._pin_tx_batch(ref_group, ref_batch, [], 0) == 1
 
     assert sim.chain.microblocks[patient.address].txs == (earlier, fresh)
     assert sim.invalid_txs == invalid + 2
@@ -296,36 +297,103 @@ def test_replays_and_same_batch_repeats_are_pinned_once():
     assert sim.chain.medical_received == reference.chain.medical_received
 
 
+def test_a_keyblock_short_of_quorum_sinks_no_transaction(monkeypatch):
+    """The keyblock and the batch's first segment share one vote, but each
+    entry is tallied on its own: when one member of an equal-weight trio
+    rejects entry 0, the keyblock misses quorum and the segment still
+    pins."""
+    sim, group, patient, earlier = one_patient_sim("none")
+    dissenter = sim.miners[0].address
+    real_batch_votes = Simulation._batch_votes
+
+    def batch_votes(self, group, subjects, accepts):
+        def dissenting(miner_id):
+            bits = accepts(miner_id)
+            return [ok and (i > 0 or miner_id != dissenter) for i, ok in enumerate(bits)]
+
+        return real_batch_votes(self, group, subjects, dissenting)
+
+    monkeypatch.setattr(Simulation, "_batch_votes", batch_votes)
+    block = sim._mine_round([])
+    assert block is not None
+    inst = sim.miners[1]
+    fresh = visit(sim, patient, inst, b"fresh")
+    sim.scheduler.enqueue(inst.address, fresh)
+    batch = schedule_batch(sim.scheduler, {})
+    tip, rewards = sim.chain.tip_height, dict(sim.kb_rewards)
+
+    landed, voted, pos = sim._pin_keyblock(group, block, batch)
+
+    assert not landed
+    assert sim.chain.tip_height == tip and sim.kb_rewards == rewards
+    ((tx, cert),) = voted
+    assert tx == fresh and pos == len(batch)
+    assert cert.index == 1 and len(cert.signers) == 3
+    assert sim._pin_tx_batch(group, batch, voted, pos) == 1
+    assert sim.chain.microblocks[patient.address].txs == (earlier, fresh)
+
+
+def test_a_round_pins_its_keyblock_and_transactions_under_one_root(monkeypatch):
+    """On the golden ``none`` scenario, every round that pins both a
+    keyblock and transactions pins them under one signed batch root, with
+    the keyblock at entry 0."""
+    keyblock_roots: dict[int, bytes] = {}
+    tx_roots: dict[int, set[bytes]] = {}
+    real_add, real_append = ChainState.add_pinned_keyblock, ChainState.append_to_microblock
+
+    def add_pinned_keyblock(self, block, group):
+        real_add(self, block, group)
+        assert block.pin_cert.index == 0
+        keyblock_roots[self.current_round] = block.pin_cert.batch_root
+
+    def append_to_microblock(self, patient_id, tx, cert, group):
+        tx_roots.setdefault(self.current_round, set()).add(cert.batch_root)
+        return real_append(self, patient_id, tx, cert, group)
+
+    monkeypatch.setattr(ChainState, "add_pinned_keyblock", add_pinned_keyblock)
+    monkeypatch.setattr(ChainState, "append_to_microblock", append_to_microblock)
+    result = run_scenario(GOLDEN_BASE)
+    assert result.summary["chain_digest"] == GOLDEN["none"][1]
+
+    both = keyblock_roots.keys() & tx_roots.keys()
+    assert len(both) > GOLDEN_BASE.rounds // 2
+    for round_number in both:
+        assert tx_roots[round_number] == {keyblock_roots[round_number]}
+
+
 def count_vote_signatures(monkeypatch):
     """Run the golden ``none`` scenario; return the vote signatures made,
-    and how many the group may make when it signs each scheduled batch
-    once: group size times (non-empty batches, plus the labels that close
-    a batch early, plus keyblock pins)."""
-    counts = {"signs": 0, "allowed": 0}
+    and how many the group may make when it votes once per round on the
+    keyblock and the first segment of the scheduled batch: group size
+    times (rounds that mined a keyblock or scheduled a non-empty batch,
+    plus the labels that close a segment early)."""
+    counts = {"signs": 0, "allowed": 0, "mined": False}
     real_sign, real_schedule = sim_mod.sign, sim_mod.schedule_batch
-    real_pin_keyblock = Simulation._pin_keyblock
+    real_mine_round = Simulation._mine_round
 
     def counting_sign(msg, keypair):
         counts["signs"] += 1
         return real_sign(msg, keypair)
 
+    def counting_mine_round(self, registers):
+        block = real_mine_round(self, registers)
+        counts["mined"] = block is not None
+        return block
+
     def counting_schedule(state, reputations):
+        # each round schedules its batch once, after mining
         batch = real_schedule(state, reputations)
         seen: set[bytes] = set()
         for tx in batch:
             if tx.tx_type is TxType.LABEL and tx.payload.target_tx_hash in seen:
                 counts["allowed"] += GOLDEN_BASE.group_size
             seen.add(tx.tx_id)
-        counts["allowed"] += GOLDEN_BASE.group_size * bool(batch)
+        counts["allowed"] += GOLDEN_BASE.group_size * (counts["mined"] or bool(batch))
         return batch
-
-    def counting_pin_keyblock(self, group, block):
-        counts["allowed"] += group.size
-        return real_pin_keyblock(self, group, block)
 
     monkeypatch.setattr(sim_mod, "sign", counting_sign)
     monkeypatch.setattr(sim_mod, "schedule_batch", counting_schedule)
-    monkeypatch.setattr(Simulation, "_pin_keyblock", counting_pin_keyblock)
+    monkeypatch.setattr(Simulation, "_mine_round", counting_mine_round)
     result = run_scenario(GOLDEN_BASE)
     assert result.summary["chain_digest"] == GOLDEN["none"][1]
     return counts["signs"], counts["allowed"], result.summary["medical_txs_pinned"]
