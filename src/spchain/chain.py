@@ -25,7 +25,7 @@ from .blocks import (
 from .chameleon import ChameleonHashKey, ch_verify
 from .consensus import ConsensusGroup, check_certificate
 from .mining import check_puzzle
-from .reputation import CHUNK_SIZE
+from .reputation import CHUNK_SIZE, Sums
 from .signing import address_of, verify_sig
 from .tx import (
     LabelPayload,
@@ -147,6 +147,17 @@ class _RecordIndex:
         return walked
 
 
+def _count_one(counts: list[int], sums: dict[str, Sums], institution_id: str) -> None:
+    """Count one more receipt in the current chunk of ``counts``, the list
+    of ``institution_id``, and raise its running sums with it: as a count
+    goes from v to v + 1, S1 gains 1 and S2 gains 2v + 1. A new chunk of
+    zero leaves them as they are."""
+    v = counts[-1]
+    counts[-1] = v + 1
+    s1, s2 = sums[institution_id]
+    sums[institution_id] = (s1 + 1, s2 + 2 * v + 1)
+
+
 class ChainState:
     def __init__(self) -> None:
         self.institutions: dict[str, InstitutionInfo] = {}
@@ -166,12 +177,15 @@ class ChainState:
         self.current_round = 0
         # reputation inputs: pinned keyblocks per miner key, and per institution
         # one count per chunk c of heights c*CHUNK_SIZE+1 .. (c+1)*CHUNK_SIZE,
-        # up to the tip's chunk; chunk 0 also takes appends made at tip 0
+        # up to the tip's chunk, with the running sums of each list; chunk 0
+        # also takes appends made at tip 0
         self.keyblocks_mined: Counter[str] = Counter()
         self.registers_received: dict[str, list[int]] = {}
         self.medical_received: dict[str, list[int]] = {}
+        self.register_sums: dict[str, Sums] = {}
+        self.medical_sums: dict[str, Sums] = {}
         self.medical_tx_count = 0
-        self._chunk_count = 1
+        self.chunk_count = 1
         # instrumentation: microblock store reads, for retrieval-cost checks
         self.store_accesses = 0
 
@@ -179,8 +193,10 @@ class ChainState:
 
     def register_institution(self, info: InstitutionInfo) -> None:
         self.institutions[info.institution_id] = info
-        self.registers_received.setdefault(info.institution_id, [0] * self._chunk_count)
-        self.medical_received.setdefault(info.institution_id, [0] * self._chunk_count)
+        self.registers_received.setdefault(info.institution_id, [0] * self.chunk_count)
+        self.medical_received.setdefault(info.institution_id, [0] * self.chunk_count)
+        self.register_sums.setdefault(info.institution_id, (0, 0))
+        self.medical_sums.setdefault(info.institution_id, (0, 0))
 
     def patient_id_for(self, public_key: bytes) -> Optional[str]:
         return self._patients_by_pk.get(public_key)
@@ -256,13 +272,14 @@ class ChainState:
         self.pinned_keyblocks.append(block)
         self._pinned_hashes.append(digest)
         self._last_mb.append(self._settle(-1))
-        if (block.height - 1) // CHUNK_SIZE == self._chunk_count:
-            self._chunk_count += 1
+        if (block.height - 1) // CHUNK_SIZE == self.chunk_count:
+            self.chunk_count += 1
             for counts in (*self.registers_received.values(), *self.medical_received.values()):
                 counts.append(0)
         self.keyblocks_mined[address_of(block.miner_public_key)] += 1
         for tx in block.register_txs:
-            self.registers_received[tx.payload.receiver_id][-1] += 1
+            receiver = tx.payload.receiver_id
+            _count_one(self.registers_received[receiver], self.register_sums, receiver)
 
     def create_microblock(self, microblock: MicroBlock) -> None:
         patient_id = microblock.owner_patient_id
@@ -288,13 +305,14 @@ class ChainState:
         """Append ``tx``, whose certificate must pin its id in ``group``
         and whose id must be new to the microblock."""
         check_certificate(tx.tx_id, cert, group)
+        receiver = tx.payload.receiver_id
         # an unknown receiver raises here, before anything changes
-        received = self.medical_received[tx.payload.receiver_id]
+        received = self.medical_received[receiver]
         updated = append_pinned_tx(self.microblocks[patient_id], tx)
         self._records[patient_id].append(tx)
         self.microblocks[patient_id] = updated
         self._touch_microblock(updated)
-        received[-1] += 1
+        _count_one(received, self.medical_sums, receiver)
         self.medical_tx_count += 1
         return updated
 

@@ -187,8 +187,9 @@ class Simulation:
             r2 = 0.0
         else:
             stats = ChunkStats(
-                tr=self.chain.registers_received[miner_id],
-                tml=self.chain.medical_received[miner_id],
+                tr=self.chain.register_sums[miner_id],
+                tml=self.chain.medical_sums[miner_id],
+                chunk_count=self.chain.chunk_count,
                 chunk_size=CHUNK_SIZE,
                 chain_length=chain_length,
                 microblock_count=n_micro,

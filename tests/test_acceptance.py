@@ -43,14 +43,14 @@ from spchain.consensus import pin
 from spchain.group import BilinearGroup
 from spchain.metrics import metrics_csv_text, reputation_csv_text, summary_text
 from spchain.mining import mine_keyblock, target_from_zero_bits
-from spchain.reputation import ChunkStats, bounded_growth, compute_r2
+from spchain.reputation import bounded_growth, compute_r2
 from spchain.scheduler import SchedulerState, schedule_batch
 from spchain.sim import run_scenario
 from spchain.simconfig import ScenarioConfig
 
 from tests.conftest import pin_subject
 from tests.test_consensus import signed_group
-from tests.test_reputation import A, LAM, oracle_r2
+from tests.test_reputation import A, LAM, oracle_r2, stats_of
 
 
 def test_criterion_1_chameleon_redaction(group):
@@ -90,8 +90,7 @@ def test_criterion_1_chameleon_redaction(group):
 def test_criterion_2_reputation_matches_oracle():
     """compute_r2 agrees with an independent recomputation to 1e-9 on 1000
     random inputs; the worked example gives 0.4000 and f(a) is exactly 1/2."""
-    stats = ChunkStats(tr=(2, 4), tml=(10, 20), chunk_size=10, chain_length=20,
-                       microblock_count=10, tx_count=100)
+    stats = stats_of((2, 4), (10, 20), c=10, length=20, n_micro=10, n_tx=100)
     worked = compute_r2(stats, True, A, LAM)
     assert worked == pytest.approx(0.4000, abs=1e-4)
     assert bounded_growth(A, A, LAM) == 0.5
@@ -107,11 +106,7 @@ def test_criterion_2_reputation_matches_oracle():
         n_micro = sum(tr) + rng.randrange(1, 60)
         n_tx = sum(tml) + rng.randrange(1, 300)
         honest = rng.random() < 0.9
-        got = compute_r2(
-            ChunkStats(tr=tr, tml=tml, chunk_size=c, chain_length=length,
-                       microblock_count=n_micro, tx_count=n_tx),
-            honest, A, LAM,
-        )
+        got = compute_r2(stats_of(tr, tml, c, length, n_micro, n_tx), honest, A, LAM)
         want = oracle_r2(tr, tml, c, length, n_micro, n_tx, honest, A, LAM)
         worst = max(worst, abs(got - want))
     assert worst <= 1e-9

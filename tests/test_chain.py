@@ -320,9 +320,13 @@ def pin_registering(chain, trio, *institutions):
 
 def test_reputation_inputs_are_counted_per_chunk_as_blocks_land(world, trio):
     """Chunk c holds heights 10c+1 .. 10c+10 and, for chunk 0, tip 0. Every
-    institution's lists reach the tip's chunk, also one registered late."""
+    institution's lists reach the tip's chunk, also one registered late, and
+    its running sums (S1, S2) of each list keep up."""
     chain, hospital, patient = registered(world)
     h = hospital.address
+
+    def sums(inst):
+        return chain.register_sums[inst], chain.medical_sums[inst]
 
     def append(receiver):
         tx = medical_tx(chain, hospital, patient, receiver=receiver.address)
@@ -330,21 +334,26 @@ def test_reputation_inputs_are_counted_per_chunk_as_blocks_land(world, trio):
 
     append(hospital)  # at tip 0
     assert (chain.registers_received[h], chain.medical_received[h]) == ([0], [1])
+    assert sums(h) == ((0, 0), (1, 1))
     pin_registering(chain, trio, hospital)  # height 1
     while chain.tip_height < 9:
         pin_next(chain, trio)
     pin_registering(chain, trio, hospital)  # height 10
     append(hospital)
     assert (chain.registers_received[h], chain.medical_received[h]) == ([2], [2])
+    assert sums(h) == ((2, 4), (2, 4))
 
     clinic = setup_institution(b"clinic")
     chain.register_institution(clinic.chain_info())
     c = clinic.address
     assert (chain.registers_received[c], chain.medical_received[c]) == ([0], [0])
+    assert sums(c) == ((0, 0), (0, 0))
     pin_registering(chain, trio, hospital, clinic)  # height 11
     append(clinic)
     assert (chain.registers_received[h], chain.medical_received[h]) == ([2, 1], [2, 0])
     assert (chain.registers_received[c], chain.medical_received[c]) == ([0, 1], [0, 1])
+    assert sums(h) == ((3, 5), (2, 4))
+    assert sums(c) == ((1, 1), (1, 1))
 
     while chain.tip_height < 20:
         pin_next(chain, trio)
@@ -353,6 +362,9 @@ def test_reputation_inputs_are_counted_per_chunk_as_blocks_land(world, trio):
     append(hospital)
     assert (chain.registers_received[h], chain.medical_received[h]) == ([2, 1, 0], [2, 0, 1])
     assert (chain.registers_received[c], chain.medical_received[c]) == ([0, 1, 1], [0, 1, 0])
+    assert sums(h) == ((3, 5), (3, 5))
+    assert sums(c) == ((2, 2), (1, 1))
+    assert chain.chunk_count == 3
     assert chain.medical_tx_count == 4
     miner = address_of(chain.pinned_keyblocks[0].miner_public_key)
     assert chain.keyblocks_mined == Counter({miner: 21})
@@ -360,8 +372,10 @@ def test_reputation_inputs_are_counted_per_chunk_as_blocks_land(world, trio):
     late = setup_institution(b"late")
     chain.register_institution(late.chain_info())
     assert chain.registers_received[late.address] == [0, 0, 0]
+    assert sums(late.address) == ((0, 0), (0, 0))
     chain.register_institution(hospital.chain_info())  # again: counts stand
     assert chain.registers_received[h] == [2, 1, 0]
+    assert sums(h) == ((3, 5), (3, 5))
 
 
 # -- validation reason codes -----------------------------------------------------

@@ -22,6 +22,7 @@ from spchain.signing import address_of
 from spchain.sim import run_scenario
 from spchain.simconfig import ScenarioConfig
 from tests.conftest import fresh_microblock_encoding
+from tests.test_reputation import sums_of
 
 BASE = ScenarioConfig(
     seed=3,
@@ -124,8 +125,10 @@ def test_microblock_hashes_match_a_fresh_encoding(name):
 @pytest.mark.parametrize("name", list(GOLDEN))
 def test_reputation_inputs_recount_from_the_pinned_chain(name):
     """The counters the chain keeps as blocks land equal a recount over the
-    pinned keyblocks and microblocks. The chunk of an append is not on the
-    chain, so medical/label receipts are recounted as totals."""
+    pinned keyblocks and microblocks, and so do their running sums. The
+    chunk of an append is not on the chain, so medical/label receipts are
+    recounted as totals, and their sum of squares as that of the chain's
+    per-chunk list."""
     chain = run_scenario(dataclasses.replace(BASE, **GOLDEN[name][0])).sim.chain
     keyblocks = chain.pinned_keyblocks
     assert chain.keyblocks_mined == Counter(address_of(kb.miner_public_key) for kb in keyblocks)
@@ -142,6 +145,10 @@ def test_reputation_inputs_recount_from_the_pinned_chain(name):
         inst: received[inst] for inst in chain.institutions
     }
     assert all(len(counts) == chunks for counts in chain.medical_received.values())
+    assert chain.chunk_count == chunks
+    for inst in chain.institutions:
+        assert chain.register_sums[inst] == sums_of(registers[inst])
+        assert chain.medical_sums[inst] == sums_of(chain.medical_received[inst])
 
 
 def test_bench_cell_matches_recorded():
