@@ -51,8 +51,9 @@ class BatchVote:
 class TxCertificate:
     """A subject's share of its batch's votes: the batch root, the
     subject's index and inclusion path, and the members whose verified
-    bitmap accepts it. A keyblock is pinned as the one-entry batch of its
-    hash; a transaction as an entry of its scheduled batch."""
+    bitmap accepts it. A keyblock's hash is entry 0 of its round's batch,
+    ahead of the transactions of the round's first segment; a transaction
+    is an entry of its segment's batch."""
 
     batch_root: bytes
     index: int

@@ -9,6 +9,7 @@ themselves are immutable.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import KeysView
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -97,17 +98,23 @@ class _RecordIndex:
     entry resolves to the end of its chain of newest labels, stopping at
     the first id met twice. ``descriptors[p]`` is the entry at position
     ``p`` with its chain resolved under every label appended so far; an id
-    is appended at most once, at ``positions[id]``."""
+    is appended at most once, at ``positions[id]``. ``certified`` holds
+    the institutions that the microblock's root certifies, in order: the
+    home institution, then each receiver when first appended."""
 
-    def __init__(self) -> None:
+    def __init__(self, home_institution_id: str) -> None:
         self.positions: dict[bytes, int] = {}
         self.newest_label: dict[bytes, Transaction] = {}
         self.descriptors: list[RecordDescriptor] = []
+        self.certified: dict[str, None] = {home_institution_id: None}
 
     def append(self, tx: Transaction) -> None:
         if tx.tx_id in self.positions:
             raise ValueError("transaction is already in the patient's microblock")
         self.positions[tx.tx_id] = len(self.descriptors)
+        receiver = tx.payload.receiver_id
+        if receiver not in self.certified:
+            self.certified[receiver] = None
         if tx.tx_type is TxType.LABEL:
             self.newest_label[tx.payload.target_tx_hash] = tx
         self.descriptors.append(RecordDescriptor(tx, self._resolve(tx)))
@@ -147,13 +154,23 @@ class _RecordIndex:
         return walked
 
 
-def _count_one(counts: list[int], sums: dict[str, Sums], institution_id: str) -> None:
-    """Count one more receipt in the current chunk of ``counts``, the list
-    of ``institution_id``, and raise its running sums with it: as a count
-    goes from v to v + 1, S1 gains 1 and S2 gains 2v + 1. A new chunk of
-    zero leaves them as they are."""
-    v = counts[-1]
-    counts[-1] = v + 1
+# an institution's receipts in the newest chunk it received in, as
+# (chunk index, count)
+TaggedCount = tuple[int, int]
+
+
+def _count_one(
+    counts: dict[str, TaggedCount], sums: dict[str, Sums], institution_id: str, chunk: int
+) -> None:
+    """Count one more receipt at ``institution_id`` in ``chunk``, the
+    current chunk, and raise its running sums with it: as the chunk's
+    count goes from v to v + 1, S1 gains 1 and S2 gains 2v + 1. A count
+    tagged with an older chunk is v = 0 here, so a new chunk of zero
+    changes no entry."""
+    tag, v = counts[institution_id]
+    if tag != chunk:
+        v = 0
+    counts[institution_id] = (chunk, v + 1)
     s1, s2 = sums[institution_id]
     sums[institution_id] = (s1 + 1, s2 + 2 * v + 1)
 
@@ -175,13 +192,14 @@ class ChainState:
         # hash, so an append does not hash the patient's history
         self._last_mb: list[bytes | MicroBlock] = [GENESIS_MICROBLOCK_HASH]
         self.current_round = 0
-        # reputation inputs: pinned keyblocks per miner key, and per institution
-        # one count per chunk c of heights c*CHUNK_SIZE+1 .. (c+1)*CHUNK_SIZE,
-        # up to the tip's chunk, with the running sums of each list; chunk 0
-        # also takes appends made at tip 0
+        # reputation inputs: pinned keyblocks per miner key and, per
+        # institution, the running sums over its receipts per chunk c of
+        # heights c*CHUNK_SIZE+1 .. (c+1)*CHUNK_SIZE, up to the tip's chunk,
+        # with its count in the last chunk it received in, tagged with that
+        # chunk; chunk 0 also takes appends made at tip 0
         self.keyblocks_mined: Counter[str] = Counter()
-        self.registers_received: dict[str, list[int]] = {}
-        self.medical_received: dict[str, list[int]] = {}
+        self.register_counts: dict[str, TaggedCount] = {}
+        self.medical_counts: dict[str, TaggedCount] = {}
         self.register_sums: dict[str, Sums] = {}
         self.medical_sums: dict[str, Sums] = {}
         self.medical_tx_count = 0
@@ -193,8 +211,8 @@ class ChainState:
 
     def register_institution(self, info: InstitutionInfo) -> None:
         self.institutions[info.institution_id] = info
-        self.registers_received.setdefault(info.institution_id, [0] * self.chunk_count)
-        self.medical_received.setdefault(info.institution_id, [0] * self.chunk_count)
+        self.register_counts.setdefault(info.institution_id, (0, 0))
+        self.medical_counts.setdefault(info.institution_id, (0, 0))
         self.register_sums.setdefault(info.institution_id, (0, 0))
         self.medical_sums.setdefault(info.institution_id, (0, 0))
 
@@ -274,12 +292,10 @@ class ChainState:
         self._last_mb.append(self._settle(-1))
         if (block.height - 1) // CHUNK_SIZE == self.chunk_count:
             self.chunk_count += 1
-            for counts in (*self.registers_received.values(), *self.medical_received.values()):
-                counts.append(0)
         self.keyblocks_mined[address_of(block.miner_public_key)] += 1
         for tx in block.register_txs:
             receiver = tx.payload.receiver_id
-            _count_one(self.registers_received[receiver], self.register_sums, receiver)
+            _count_one(self.register_counts, self.register_sums, receiver, self.chunk_count - 1)
 
     def create_microblock(self, microblock: MicroBlock) -> None:
         patient_id = microblock.owner_patient_id
@@ -288,7 +304,7 @@ class ChainState:
         if patient_id not in self.patients:
             raise ValueError("owner is not a registered patient")
         self._check_root_opening(microblock)
-        records = _RecordIndex()
+        records = _RecordIndex(self.patients[patient_id].home_institution_id)
         for tx in microblock.txs:
             records.append(tx)
         self.microblocks[patient_id] = microblock
@@ -306,13 +322,13 @@ class ChainState:
         and whose id must be new to the microblock."""
         check_certificate(tx.tx_id, cert, group)
         receiver = tx.payload.receiver_id
-        # an unknown receiver raises here, before anything changes
-        received = self.medical_received[receiver]
+        if receiver not in self.institutions:
+            raise ValueError("transaction is addressed to an unknown institution")
         updated = append_pinned_tx(self.microblocks[patient_id], tx)
         self._records[patient_id].append(tx)
         self.microblocks[patient_id] = updated
         self._touch_microblock(updated)
-        _count_one(received, self.medical_sums, receiver)
+        _count_one(self.medical_counts, self.medical_sums, receiver, self.chunk_count - 1)
         self.medical_tx_count += 1
         return updated
 
@@ -339,6 +355,12 @@ class ChainState:
         self._last_mb[-1] = microblock
 
     # -- lookups ----------------------------------------------------------
+
+    def certified_institutions(self, patient_id: str) -> KeysView[str]:
+        """The institutions that the patient's microblock root certifies:
+        the home institution, then each receiver in first-appended order.
+        A read-only live view; membership is one dict lookup."""
+        return self._records[patient_id].certified.keys()
 
     def history_of(self, patient_id: str) -> list[RecordDescriptor]:
         """The patient's entries in order, each with its newest label; a

@@ -146,8 +146,12 @@ def check_certificate(
 ) -> None:
     """Raise ValueError unless ``cert`` pins ``subject`` in ``group``: its
     inclusion path leads from ``subject`` to the batch root, and its
-    signers pass ``check_signers``. Vote signatures are verified where the
-    certificate is built (``pin_batch``)."""
+    signers pass ``check_signers``.
+
+    No vote signature is checked here, so neither does the chain check
+    one: a certificate whose signatures are forged passes. Only
+    ``pin_batch`` verifies signatures, where its caller builds the
+    certificate."""
     if cert is None:
         raise ValueError("not pinned: no certificate")
     if not merkle_path_verifies(subject, cert.index, cert.path, cert.batch_root):
@@ -214,5 +218,9 @@ def pin(
     group: ConsensusGroup,
 ) -> Union[TxCertificate, InsufficientQuorum]:
     """Pin one subject as the one-entry batch ``[subject_hash]``: its
-    certificate, or the shortfall."""
+    certificate, or the shortfall.
+
+    Nothing in the package calls this. It stays because perfbench traces
+    it, and perfbench's tests require every traced target to resolve; it
+    goes once perfbench stops tracing it."""
     return pin_batch([subject_hash], votes, group).outcomes[0]

@@ -128,7 +128,6 @@ class Simulation:
         self.total_rewards: dict[str, float] = {mid: 0.0 for mid in self.institutions}
 
         self.patients: dict[str, PatientActor] = {}
-        self.patient_leaves: dict[str, list[bytes]] = {}
         self._spawned = 0
 
         self.register_mempool: list[Transaction] = []
@@ -405,9 +404,7 @@ class Simulation:
         for tx in pinned.register_txs:
             info = self.chain.register_patient(tx)
             inst = self.institutions[tx.payload.receiver_id]
-            leaves = [inst.info_leaf]
-            self.patient_leaves[info.patient_id] = list(leaves)
-            root = institution_root(leaves, inst.ch_keys.hk, inst.rng)
+            root = institution_root([inst.info_leaf], inst.ch_keys.hk, inst.rng)
             self.chain.create_microblock(
                 MicroBlock(
                     owner_patient_id=info.patient_id,
@@ -515,13 +512,13 @@ class Simulation:
     def _append_pinned(self, group: ConsensusGroup, tx: Transaction, cert: TxCertificate) -> None:
         patient_id = self.chain.patient_id_for(tx.sender_pk)
         receiver = tx.payload.receiver_id
-        inst = self.institutions[receiver]
-        leaves = self.patient_leaves[patient_id]
-        if inst.info_leaf not in leaves:
+        certified = self.chain.certified_institutions(patient_id)
+        if receiver not in certified:
             # first record at this institution: extend the certified set
             # under the same root via a trapdoor collision at the home
-            # institution, so the stored root never changes
-            leaves.append(inst.info_leaf)
+            # institution, so the stored root never changes; the append
+            # below adds the receiver to the chain's certified set
+            leaves = [self.institutions[i].info_leaf for i in (*certified, receiver)]
             home = self.institutions[self.chain.patients[patient_id].home_institution_id]
             current = self.chain.microblocks[patient_id]
             new_root = update_institution_root(

@@ -137,3 +137,11 @@ def fresh_microblock_encoding(block: MicroBlock) -> bytes:
         body = signing_bytes(tx.tx_type, tx.payload, tx.sender_pk, tx.fee)
         out += wire.var_bytes(body + wire.var_bytes(tx.signature))
     return out
+
+
+def current_count(chain, counts, institution_id: str) -> int:
+    """``institution_id``'s count in the chain's current chunk, read from
+    ``counts`` (``register_counts`` or ``medical_counts``): a count
+    tagged with an older chunk is 0 in this one."""
+    chunk, count = counts[institution_id]
+    return count if chunk == chain.chunk_count - 1 else 0

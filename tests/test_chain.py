@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import random
@@ -30,7 +31,7 @@ from spchain.chameleon import ch_hash, message_scalar
 from spchain.mining import check_puzzle, mine_keyblock
 from spchain.signing import address_of, keypair_from_seed, sign
 from spchain.tx import LabelPayload, MedicalPayload, Transaction, TxType, build_tx
-from tests.conftest import pin_entries, pin_subject, signed_members
+from tests.conftest import current_count, pin_entries, pin_subject, signed_members
 
 
 @pytest.fixture
@@ -320,48 +321,63 @@ def pin_registering(chain, trio, *institutions):
 
 def test_reputation_inputs_are_counted_per_chunk_as_blocks_land(world, trio):
     """Chunk c holds heights 10c+1 .. 10c+10 and, for chunk 0, tip 0. Every
-    institution's lists reach the tip's chunk, also one registered late, and
-    its running sums (S1, S2) of each list keep up."""
+    institution's running sums (S1, S2) over its per-chunk counts keep up,
+    and so does its count in the last chunk it was counted in, tagged with
+    that chunk; also for one registered late."""
     chain, hospital, patient = registered(world)
     h = hospital.address
 
     def sums(inst):
         return chain.register_sums[inst], chain.medical_sums[inst]
 
+    def tagged(inst):
+        return chain.register_counts[inst], chain.medical_counts[inst]
+
+    def current(inst):
+        return current_count(chain, chain.register_counts, inst), current_count(
+            chain, chain.medical_counts, inst
+        )
+
     def append(receiver):
         tx = medical_tx(chain, hospital, patient, receiver=receiver.address)
         chain.append_to_microblock(patient.address, tx, pin_subject(tx.tx_id, *trio), trio[0])
 
     append(hospital)  # at tip 0
-    assert (chain.registers_received[h], chain.medical_received[h]) == ([0], [1])
+    assert tagged(h) == ((0, 0), (0, 1))
+    assert current(h) == (0, 1)
     assert sums(h) == ((0, 0), (1, 1))
     pin_registering(chain, trio, hospital)  # height 1
     while chain.tip_height < 9:
         pin_next(chain, trio)
     pin_registering(chain, trio, hospital)  # height 10
     append(hospital)
-    assert (chain.registers_received[h], chain.medical_received[h]) == ([2], [2])
+    assert tagged(h) == ((0, 2), (0, 2))
+    assert current(h) == (2, 2)
     assert sums(h) == ((2, 4), (2, 4))
 
     clinic = setup_institution(b"clinic")
     chain.register_institution(clinic.chain_info())
     c = clinic.address
-    assert (chain.registers_received[c], chain.medical_received[c]) == ([0], [0])
+    assert current(c) == (0, 0)
     assert sums(c) == ((0, 0), (0, 0))
     pin_registering(chain, trio, hospital, clinic)  # height 11
     append(clinic)
-    assert (chain.registers_received[h], chain.medical_received[h]) == ([2, 1], [2, 0])
-    assert (chain.registers_received[c], chain.medical_received[c]) == ([0, 1], [0, 1])
+    assert tagged(h) == ((1, 1), (0, 2))
+    assert tagged(c) == ((1, 1), (1, 1))
+    assert current(h) == (1, 0)
+    assert current(c) == (1, 1)
     assert sums(h) == ((3, 5), (2, 4))
     assert sums(c) == ((1, 1), (1, 1))
 
     while chain.tip_height < 20:
         pin_next(chain, trio)
-    assert len(chain.registers_received[h]) == 2
+    assert chain.chunk_count == 2
     pin_registering(chain, trio, clinic)  # height 21
     append(hospital)
-    assert (chain.registers_received[h], chain.medical_received[h]) == ([2, 1, 0], [2, 0, 1])
-    assert (chain.registers_received[c], chain.medical_received[c]) == ([0, 1, 1], [0, 1, 0])
+    assert tagged(h) == ((1, 1), (2, 1))
+    assert tagged(c) == ((2, 1), (1, 1))
+    assert current(h) == (0, 1)
+    assert current(c) == (1, 0)
     assert sums(h) == ((3, 5), (3, 5))
     assert sums(c) == ((2, 2), (1, 1))
     assert chain.chunk_count == 3
@@ -371,11 +387,76 @@ def test_reputation_inputs_are_counted_per_chunk_as_blocks_land(world, trio):
 
     late = setup_institution(b"late")
     chain.register_institution(late.chain_info())
-    assert chain.registers_received[late.address] == [0, 0, 0]
+    assert current(late.address) == (0, 0)
     assert sums(late.address) == ((0, 0), (0, 0))
     chain.register_institution(hospital.chain_info())  # again: counts stand
-    assert chain.registers_received[h] == [2, 1, 0]
+    assert tagged(h) == ((1, 1), (2, 1))
     assert sums(h) == ((3, 5), (3, 5))
+
+
+def per_institution_state(chain):
+    """A deep copy of every ``ChainState`` field keyed by institution id,
+    but the registry itself."""
+    return {
+        name: copy.deepcopy(value)
+        for name, value in vars(chain).items()
+        if name != "institutions"
+        and isinstance(value, dict)
+        and value.keys() == chain.institutions.keys()
+    }
+
+
+def test_opening_a_chunk_changes_no_institution_counter(world, trio):
+    """A register-free keyblock that opens a chunk only raises
+    ``chunk_count``: no per-institution entry grows or changes with it."""
+    chain, hospital, patient = registered(world)
+    clinic = setup_institution(b"clinic")
+    chain.register_institution(clinic.chain_info())
+    pin_registering(chain, trio, hospital, clinic)  # height 1
+    tx = medical_tx(chain, hospital, patient)
+    chain.append_to_microblock(patient.address, tx, pin_subject(tx.tx_id, *trio), trio[0])
+    while chain.tip_height < 10:
+        pin_next(chain, trio)
+    before = per_institution_state(chain)
+    assert {"register_sums", "medical_sums"} <= before.keys()
+    assert chain.chunk_count == 1
+
+    assert pin_next(chain, trio).register_txs == ()  # height 11 opens chunk 1
+    assert chain.chunk_count == 2
+    assert per_institution_state(chain) == before
+    assert current_count(chain, chain.register_counts, hospital.address) == 0
+    assert current_count(chain, chain.medical_counts, hospital.address) == 0
+
+
+def test_append_refuses_an_unknown_receiver_before_anything_changes(world, trio):
+    """A pinned transaction addressed to an institution the chain does not
+    know raises ValueError and leaves the patient's microblock, record
+    index and certified set, the counters and the touched hash as they
+    were."""
+    chain, hospital, patient = registered(world)
+    pin_next(chain, trio)
+    tx = medical_tx(chain, hospital, patient)
+    chain.append_to_microblock(patient.address, tx, pin_subject(tx.tx_id, *trio), trio[0])
+
+    def snapshot():
+        return (
+            chain.microblocks[patient.address],
+            chain.history_of(patient.address),
+            list(chain.certified_institutions(patient.address)),
+            per_institution_state(chain),
+            chain.medical_tx_count,
+            chain.last_microblock_hash(chain.tip_height),
+        )
+
+    before = snapshot()
+    stranger = setup_institution(b"stranger")
+    refused = medical_tx(chain, hospital, patient, receiver=stranger.address)
+    with pytest.raises(ValueError, match="unknown institution"):
+        chain.append_to_microblock(
+            patient.address, refused, pin_subject(refused.tx_id, *trio), trio[0]
+        )
+    assert snapshot() == before
+    assert chain.find_patient_tx(patient.address, refused.tx_id) is None
 
 
 # -- validation reason codes -----------------------------------------------------

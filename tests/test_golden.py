@@ -15,13 +15,15 @@ from collections import Counter
 import pytest
 
 from spchain.bench import BenchCell, run_cell
-from spchain.blocks import decode_block, encode_block, microblock_hash
+from spchain.blocks import decode_block, encode_block, merkle_root, microblock_hash
+from spchain.chain import ChainState
+from spchain.chameleon import message_scalar
 from spchain.metrics import metrics_csv_text, reputation_csv_text, summary_text
 from spchain.reputation import CHUNK_SIZE
 from spchain.signing import address_of
 from spchain.sim import run_scenario
 from spchain.simconfig import ScenarioConfig
-from tests.conftest import fresh_microblock_encoding
+from tests.conftest import current_count, fresh_microblock_encoding
 from tests.test_reputation import sums_of
 
 BASE = ScenarioConfig(
@@ -109,46 +111,80 @@ def test_scenario_outputs_match_recorded(name):
 @pytest.mark.parametrize("name", list(GOLDEN))
 def test_microblock_hashes_match_a_fresh_encoding(name):
     """Each final microblock hashes as its transactions encoded anew, and
-    survives a wire round trip, redacted institution roots included."""
+    survives a wire round trip, redacted institution roots included. The
+    chain certifies the home institution, then each receiver in the order
+    first met in the microblock, and the root opens to the Merkle root of
+    their leaves."""
     sim = run_scenario(dataclasses.replace(BASE, **GOLDEN[name][0])).sim
+    chain = sim.chain
     redacted = 0
-    for patient_id, mb in sim.chain.microblocks.items():
+    for patient_id, mb in chain.microblocks.items():
         fresh = fresh_microblock_encoding(mb)
         assert microblock_hash(mb) == hashlib.sha256(fresh).digest()
         decoded = decode_block(encode_block(mb))
         assert decoded == mb
         assert microblock_hash(decoded) == microblock_hash(mb)
-        redacted += len(sim.patient_leaves[patient_id]) > 1
+
+        home = chain.patients[patient_id].home_institution_id
+        certified = list(chain.certified_institutions(patient_id))
+        assert certified == list(dict.fromkeys([home, *(tx.payload.receiver_id for tx in mb.txs)]))
+        leaves = [sim.institutions[inst].info_leaf for inst in certified]
+        group = chain.institutions[home].hk.group
+        assert mb.institution_root.message == message_scalar(merkle_root(leaves), group)
+        redacted += len(certified) > 1
     assert redacted > 0
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))
-def test_reputation_inputs_recount_from_the_pinned_chain(name):
+def test_reputation_inputs_recount_from_the_pinned_chain(name, monkeypatch):
     """The counters the chain keeps as blocks land equal a recount over the
-    pinned keyblocks and microblocks, and so do their running sums. The
-    chunk of an append is not on the chain, so medical/label receipts are
-    recounted as totals, and their sum of squares as that of the chain's
-    per-chunk list."""
+    pinned keyblocks and the appends: per institution, the running sums
+    over its per-chunk counts, and its count in the last chunk it was
+    counted in, tagged with that chunk. The chunk of an append is not on
+    the chain, so an observer logs it as each append lands."""
+    appended = []  # (receiver, chunk index) per append
+    real_append = ChainState.append_to_microblock
+
+    def logging_append(self, patient_id, tx, cert, group):
+        updated = real_append(self, patient_id, tx, cert, group)
+        appended.append((tx.payload.receiver_id, self.chunk_count - 1))
+        return updated
+
+    monkeypatch.setattr(ChainState, "append_to_microblock", logging_append)
     chain = run_scenario(dataclasses.replace(BASE, **GOLDEN[name][0])).sim.chain
     keyblocks = chain.pinned_keyblocks
     assert chain.keyblocks_mined == Counter(address_of(kb.miner_public_key) for kb in keyblocks)
     chunks = -(-len(keyblocks) // CHUNK_SIZE)
+    assert chain.chunk_count == chunks
     registers = {inst: [0] * chunks for inst in chain.institutions}
     for kb in keyblocks:
         for tx in kb.register_txs:
             registers[tx.payload.receiver_id][(kb.height - 1) // CHUNK_SIZE] += 1
-    assert chain.registers_received == registers
+    medical = {inst: [0] * chunks for inst in chain.institutions}
+    for receiver, chunk in appended:
+        medical[receiver][chunk] += 1
+
     entries = [tx for mb in chain.microblocks.values() for tx in mb.txs]
-    assert chain.medical_tx_count == len(entries) > 0
-    received = Counter(tx.payload.receiver_id for tx in entries)
-    assert {inst: sum(counts) for inst, counts in chain.medical_received.items()} == {
-        inst: received[inst] for inst in chain.institutions
-    }
-    assert all(len(counts) == chunks for counts in chain.medical_received.values())
-    assert chain.chunk_count == chunks
+    assert chain.medical_tx_count == len(entries) == len(appended) > 0
+    assert Counter(tx.payload.receiver_id for tx in entries) == Counter(
+        receiver for receiver, _ in appended
+    )
     for inst in chain.institutions:
         assert chain.register_sums[inst] == sums_of(registers[inst])
-        assert chain.medical_sums[inst] == sums_of(chain.medical_received[inst])
+        assert chain.medical_sums[inst] == sums_of(medical[inst])
+        assert chain.register_counts[inst] == newest_count(registers[inst])
+        assert chain.medical_counts[inst] == newest_count(medical[inst])
+        assert current_count(chain, chain.register_counts, inst) == registers[inst][-1]
+        assert current_count(chain, chain.medical_counts, inst) == medical[inst][-1]
+
+
+def newest_count(counts):
+    """(chunk, count) of the last chunk in ``counts`` with a nonzero count;
+    (0, 0) when there is none."""
+    for chunk in reversed(range(len(counts))):
+        if counts[chunk]:
+            return chunk, counts[chunk]
+    return 0, 0
 
 
 def test_bench_cell_matches_recorded():

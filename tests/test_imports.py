@@ -1,5 +1,6 @@
-"""Every imported name is used in the file that imports it, and only the
-chameleon arithmetic imports the pairing group."""
+"""Every imported name is used in the file that imports it, only the
+chameleon arithmetic imports the pairing group, and every top-level def in
+the package has a caller in it or a stated reason to stay."""
 
 import ast
 import pathlib
@@ -83,3 +84,80 @@ def test_only_the_chameleon_arithmetic_imports_the_pairing_group():
     }
     assert importers - GROUP_IMPORTERS == set()
     assert "chameleon.py" in importers
+
+
+# defs with no caller in src/spchain, each with the reason it stays
+UNCALLED_ALLOWED = {
+    "consensus.pin": "traced by perfbench/tracing.py, which needs every target to resolve",
+    "actors.share": "protocol operation: dual-control sharing between institutions",
+    "actors.retrieve_history": "protocol operation: perfbench's history reads call it",
+    "blocks.encode_block": "the block codec that a chain verifier (`spchain verify`) will use",
+    "blocks.decode_block": "the block codec that a chain verifier (`spchain verify`) will use",
+}
+
+
+def uncalled_defs(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each top-level function or class in ``sources``
+    (module name -> source of a sibling module in one package) that no
+    other top-level statement names: directly in its own module, through
+    ``from .module import name [as alias]``, or as ``module.name`` after
+    ``from . import module``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined = [
+        (module, stmt.name)
+        for module, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    referenced: set[tuple[str, str]] = set()
+    for module, tree in trees.items():
+        # local name -> (module, name) it is bound to; name None for a module
+        bound: dict[str, tuple[str, str | None]] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module is None:
+                        bound[local] = (alias.name, None)
+                    else:
+                        bound[local] = (node.module, alias.name)
+        for stmt in tree.body:
+            itself = (module, getattr(stmt, "name", None))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    target = bound.get(node.id, (module, node.id))
+                    if target != itself:
+                        referenced.add(target)
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    owner = bound.get(node.value.id)
+                    if owner is not None and owner[1] is None:
+                        referenced.add((owner[0], node.attr))
+    return sorted(f"{m}.{n}" for m, n in defined if (m, n) not in referenced)
+
+
+def test_caller_scan_flags_uncalled_and_spares_called():
+    sources = {
+        "a": (
+            "def direct(): pass\n"
+            "def aliased(): pass\n"
+            "def dotted(): pass\n"
+            "def recursive(): return recursive()\n"
+            "class Unused: pass\n"
+            "def unused(): pass\n"
+            "def caller(): return direct()\n"
+        ),
+        "b": (
+            "from . import a\n"
+            "from .a import aliased as other\n"
+            "x = other, a.dotted, unused\n"
+        ),
+    }
+    assert uncalled_defs(sources) == ["a.Unused", "a.caller", "a.recursive", "a.unused"]
+
+
+def test_every_def_in_the_package_has_a_caller_or_a_reason():
+    sources = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted((ROOT / "src/spchain").glob("*.py"))
+    }
+    assert uncalled_defs(sources) == sorted(UNCALLED_ALLOWED)

@@ -14,7 +14,6 @@ from spchain.chain import LABEL_TARGET_MISSING, ChainState
 from spchain.consensus import ConsensusGroup, GroupMember
 from spchain.metrics import CSV_HEADER_COMMENT, metrics_csv_text, reputation_csv_text
 from spchain.mining import check_puzzle
-from spchain.reputation import CHUNK_SIZE
 from spchain.sim import WEIGHT_FLOOR, Simulation, run_scenario
 from spchain.scheduler import schedule_batch
 from spchain.simconfig import ConfigError, ScenarioConfig, parse_config_text
@@ -295,7 +294,8 @@ def test_replays_and_same_batch_repeats_are_pinned_once():
     assert sim.invalid_txs == invalid + 2
     assert sim.chain.medical_tx_count == reference.chain.medical_tx_count
     assert sim.total_rewards == reference.total_rewards
-    assert sim.chain.medical_received == reference.chain.medical_received
+    assert sim.chain.medical_sums == reference.chain.medical_sums
+    assert sim.chain.medical_counts == reference.chain.medical_counts
 
 
 def test_a_keyblock_short_of_quorum_sinks_no_transaction(monkeypatch):
@@ -512,34 +512,6 @@ def test_a_selfish_run_takes_one_tip_view_per_round(monkeypatch):
     result = run_scenario(cfg)
     assert result.summary["rejected_blocks"] > 0
     assert counts["views"] == cfg.rounds
-
-
-class CountingReads(list):
-    """A per-chunk list that counts the reads made of its entries."""
-
-    reads = 0
-
-    def __iter__(self):
-        CountingReads.reads += 1
-        return super().__iter__()
-
-    def __getitem__(self, index):
-        CountingReads.reads += 1
-        return super().__getitem__(index)
-
-
-def test_reputation_reads_no_per_chunk_list(monkeypatch):
-    """A score reads the chain's running sums, not the per-chunk lists, so
-    its cost does not grow with the chain."""
-    sim = run_scenario(dataclasses.replace(BASE, rounds=25)).sim
-    assert sim.chain.tip_height > 2 * CHUNK_SIZE
-    for received in (sim.chain.registers_received, sim.chain.medical_received):
-        for inst, counts in received.items():
-            received[inst] = CountingReads(counts)
-    monkeypatch.setattr(CountingReads, "reads", 0)
-    scores = [sim.reputation_of(mid) for mid in sim.active_miner_ids()]
-    assert any(r2 > 0 for _, r2, _ in scores)
-    assert CountingReads.reads == 0
 
 
 def test_pinned_patient_signatures_are_checked_by_the_worker(monkeypatch):
