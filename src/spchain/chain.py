@@ -298,17 +298,19 @@ class ChainState:
             _count_one(self.register_counts, self.register_sums, receiver, self.chunk_count - 1)
 
     def create_microblock(self, microblock: MicroBlock) -> None:
+        """Open a registered patient's microblock. It starts empty: each
+        entry arrives through ``append_to_microblock``, which checks its
+        certificate and counts it."""
         patient_id = microblock.owner_patient_id
         if patient_id in self.microblocks:
             raise ValueError("patient already owns a microblock")
         if patient_id not in self.patients:
             raise ValueError("owner is not a registered patient")
+        if microblock.txs:
+            raise ValueError("a new microblock must have no entries")
         self._check_root_opening(microblock)
-        records = _RecordIndex(self.patients[patient_id].home_institution_id)
-        for tx in microblock.txs:
-            records.append(tx)
         self.microblocks[patient_id] = microblock
-        self._records[patient_id] = records
+        self._records[patient_id] = _RecordIndex(self.patients[patient_id].home_institution_id)
         self._touch_microblock(microblock)
 
     def append_to_microblock(

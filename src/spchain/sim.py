@@ -499,14 +499,18 @@ class Simulation:
 
     def _batch_votes(self, group: ConsensusGroup, subjects: list[bytes], accepts):
         """Each member signs the batch's Merkle root and its accept bitmap,
-        ``accepts(miner_id)``, once."""
+        ``accepts(miner_id)``, once. Votes after the first go to the verify
+        worker as they are signed, so it checks them while ``pin_batch``
+        verifies the first inline."""
         root = merkle_root(subjects)
         votes = []
         for m in group.members:
             bitmap = accept_bitmap(accepts(m.miner_id))
             message = batch_vote_message(group.epoch, root, bitmap)
-            keypair = self.institutions[m.miner_id].keypair
-            votes.append((m.miner_id, bitmap, sign(message, keypair)))
+            signature = sign(message, self.institutions[m.miner_id].keypair)
+            if votes:
+                verify_ahead([(message, signature, m.public_key)])
+            votes.append((m.miner_id, bitmap, signature))
         return votes
 
     def _append_pinned(self, group: ConsensusGroup, tx: Transaction, cert: TxCertificate) -> None:

@@ -613,6 +613,25 @@ def test_create_microblock_requires_registration(world):
         chain.create_microblock(block)
 
 
+def test_create_microblock_refuses_entries(world):
+    """Entries arrive only through ``append_to_microblock``, which checks
+    their certificates and counts them; a new microblock holding an
+    uncertified medical transaction is refused before anything changes."""
+    chain, institution, patient = world
+    chain.register_patient(register(patient, institution, b"alice-id", fee=2))
+    uncertified = medical_tx(chain, institution, patient)
+    root = institution_root([institution.info_leaf], institution.ch_keys.hk, random.Random(2))
+    block = MicroBlock(
+        owner_patient_id=patient.address, institution_root=root, txs=(uncertified,),
+        creator_miner_id="m0", round_number=1, prev_hash=GENESIS_MICROBLOCK_HASH,
+    )
+    before = copy.deepcopy(vars(chain))
+    with pytest.raises(ValueError, match="no entries"):
+        chain.create_microblock(block)
+    assert vars(chain) == before
+    assert patient.address not in chain.microblocks
+
+
 def test_one_microblock_per_patient(world):
     chain, institution, patient = registered(world)
     existing = chain.microblocks[patient.address]

@@ -1,8 +1,10 @@
 import dataclasses
 import os
+import select
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -254,6 +256,76 @@ def test_a_forked_process_starts_its_own_worker(worker):
     assert signing._worker.pid == parent_worker
     assert triples[0] in signing._worker.verdicts
     assert verify_sig(*triples[0])
+
+
+def test_a_triple_written_in_two_parts_gets_the_inline_verdict(worker, monkeypatch):
+    """The second part is written after the worker has polled past
+    ``SPIN_S`` and gone to sleep; no byte is lost in the switch."""
+    triples = [triple for _, triple in verdict_table()]
+    expected = [signing._verify_inline(*triple) for triple in triples]
+    real_write = signing._Worker._write
+    cuts = []
+
+    def write_in_two_parts(self, data):
+        # inside the first length, the middle, before the last byte
+        cut = (2, len(data) // 2, len(data) - 1)[len(cuts) % 3]
+        cuts.append(cut)
+        real_write(self, data[:cut])
+        time.sleep(10 * signing.SPIN_S)
+        real_write(self, data[cut:])
+
+    monkeypatch.setattr(signing._Worker, "_write", write_in_two_parts)
+    verdicts = []
+    for triple in triples:
+        verify_ahead([triple])
+        # the worker is forked by now; the parent may not verify
+        monkeypatch.setattr(signing, "_verify_inline", forbid_inline)
+        # a worker that lost a byte would wait for more, and never answer
+        assert select.select([signing._worker.replies], [], [], 10.0)[0]
+        verdicts.append(verify_sig(*triple))
+    assert verdicts == expected
+    assert len(cuts) == len(triples)
+
+
+def cpu_seconds(pid):
+    """The user plus system CPU time of process ``pid``, from
+    ``/proc/<pid>/stat``."""
+    with open(f"/proc/{pid}/stat") as stat:
+        # the fields after the parenthesised command name; utime and
+        # stime are fields 14 and 15 of the whole line
+        fields = stat.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+def test_an_idle_worker_sleeps(worker):
+    kp = keypair_from_seed(b"signer")
+    triple = (b"message", sign(b"message", kp), kp.public_key)
+    verify_ahead([triple])
+    pid = signing._worker.pid
+    if not os.path.exists(f"/proc/{pid}/stat"):
+        pytest.skip("no /proc/<pid>/stat to read the worker's CPU time from")
+    assert verify_sig(*triple)
+    # the worker polls for SPIN_S after its last verdict, then sleeps
+    time.sleep(20 * signing.SPIN_S)
+    before = cpu_seconds(pid)
+    time.sleep(0.2)
+    assert cpu_seconds(pid) - before < 0.010
+
+
+def test_stop_worker_reaps_a_polling_worker(worker, monkeypatch):
+    # the worker is forked with this SPIN_S, so it is still polling when
+    # it is stopped
+    monkeypatch.setattr(signing, "SPIN_S", 60.0)
+    kp = keypair_from_seed(b"signer")
+    triple = (b"message", sign(b"message", kp), kp.public_key)
+    verify_ahead([triple])
+    pid = signing._worker.pid
+    assert verify_sig(*triple)
+    start = time.monotonic()
+    signing.stop_worker()
+    assert time.monotonic() - start < 1.0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
 
 
 def test_the_worker_is_reaped_when_its_parent_exits():

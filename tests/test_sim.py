@@ -1,15 +1,23 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 
 from spchain.actors import EmrRecord, upload
 from spchain import actors as actors_mod
 from spchain import chain as chain_mod
+from spchain import consensus as consensus_mod
 from spchain import signing as signing_mod
 from spchain import sim as sim_mod
 from spchain import tx as tx_mod
 from spchain.bench import bench_throughput
-from spchain.blocks import GENESIS_KEYBLOCK_HASH, keyblock_hash
+from spchain.blocks import (
+    GENESIS_KEYBLOCK_HASH,
+    TxCertificate,
+    batch_vote_message,
+    keyblock_hash,
+    merkle_root,
+)
 from spchain.chain import LABEL_TARGET_MISSING, ChainState
 from spchain.consensus import ConsensusGroup, GroupMember
 from spchain.metrics import CSV_HEADER_COMMENT, metrics_csv_text, reputation_csv_text
@@ -408,6 +416,115 @@ def test_group_signs_each_batch_once_not_each_tx(monkeypatch):
     assert count_vote_signatures(monkeypatch)[0] == signs
 
 
+def record_vote_checks(monkeypatch):
+    """Record, in this process, each vote's triples as cast and as sent
+    ahead, every vote check ``pin_batch`` makes, and how each check was
+    answered: inline, or by a verdict claimed from the worker."""
+    record = {"votes": [], "ahead": None, "checks": [], "inline": [], "claimed": []}
+    real_batch_votes, real_ahead = Simulation._batch_votes, sim_mod.verify_ahead
+    real_check, real_inline = consensus_mod.verify_sig, signing_mod._verify_inline
+    real_claim = signing_mod._Worker.claim
+
+    def batch_votes(self, group, subjects, accepts):
+        record["ahead"] = []
+        votes = real_batch_votes(self, group, subjects, accepts)
+        root = merkle_root(subjects)
+        cast = [
+            (batch_vote_message(group.epoch, root, bitmap), signature, group.member(mid).public_key)
+            for mid, bitmap, signature in votes
+        ]
+        record["votes"].append((group, cast, record["ahead"]))
+        record["ahead"] = None
+        return votes
+
+    def verify_ahead(triples):
+        if record["ahead"] is not None:
+            record["ahead"].extend(triples)
+        real_ahead(triples)
+
+    def check(*triple):
+        record["checks"].append(triple)
+        return real_check(*triple)
+
+    def inline(*triple):
+        record["inline"].append(triple)
+        return real_inline(*triple)
+
+    def claim(self, triple):
+        verdict = real_claim(self, triple)
+        if verdict is not None:
+            record["claimed"].append((triple, verdict))
+        return verdict
+
+    monkeypatch.setattr(Simulation, "_batch_votes", batch_votes)
+    monkeypatch.setattr(sim_mod, "verify_ahead", verify_ahead)
+    monkeypatch.setattr(consensus_mod, "verify_sig", check)
+    monkeypatch.setattr(signing_mod, "_verify_inline", inline)
+    monkeypatch.setattr(signing_mod._Worker, "claim", claim)
+    return record
+
+
+def test_votes_after_the_first_go_to_the_worker_and_each_is_verified_once(monkeypatch):
+    record = record_vote_checks(monkeypatch)
+    result = run_scenario(GOLDEN_BASE)
+    assert result.summary["chain_digest"] == GOLDEN["none"][1]
+
+    assert len(record["votes"]) >= GOLDEN_BASE.rounds
+    for group, cast, ahead in record["votes"]:
+        assert len(cast) == len(group.members)
+        # each vote but the first, as signed
+        assert ahead == cast[1:]
+    cast = Counter(t for _, votes, _ in record["votes"] for t in votes)
+    assert Counter(record["checks"]) == cast
+    inline = Counter(t for t in record["inline"] if t in cast)
+    claimed = Counter(t for t, _ in record["claimed"] if t in cast)
+    assert inline + claimed == cast
+    assert sum(claimed.values()) == sum(len(ahead) for _, _, ahead in record["votes"])
+
+
+def test_a_forged_vote_judged_by_the_worker_counts_for_nothing(monkeypatch):
+    """One member's votes carry 64 zero bytes for a signature. Each is
+    ignored, and no certificate lists the member, although the worker,
+    not the inline check, judged every such vote but a group's first."""
+    cfg = dataclasses.replace(GOLDEN_BASE, **GOLDEN["inhibition"][0])
+    sim = Simulation(cfg)
+    forger = sim.miners[2]
+    real_sign = sim_mod.sign
+
+    def sign(message, keypair):
+        if keypair is forger.keypair:
+            return bytes(64)
+        return real_sign(message, keypair)
+
+    tallies = []
+    real_pin_batch = sim_mod.pin_batch
+
+    def pin_batch(subjects, votes, group):
+        tally = real_pin_batch(subjects, votes, group)
+        tallies.append((group, tally))
+        return tally
+
+    monkeypatch.setattr(sim_mod, "sign", sign)
+    monkeypatch.setattr(sim_mod, "pin_batch", pin_batch)
+    record = record_vote_checks(monkeypatch)
+    for _ in range(cfg.rounds):
+        sim.run_round()
+
+    voted = [(g, t) for g, t in tallies if g.member(forger.address) is not None]
+    assert voted
+    certificates = 0
+    for group, tally in voted:
+        assert forger.address in tally.ignored
+        for outcome in tally.outcomes:
+            if isinstance(outcome, TxCertificate):
+                certificates += 1
+                assert forger.address not in {v.signer_id for v in outcome.signers}
+    assert certificates > 0
+    later = sum(g.members[0].miner_id != forger.address for g, _ in voted)
+    forged = [verdict for triple, verdict in record["claimed"] if triple[1] == bytes(64)]
+    assert 0 < later == len(forged) and not any(forged)
+
+
 def count_tx_encodings(monkeypatch):
     """Run the golden ``none`` scenario; return the ``signing_bytes`` calls
     made, and how many a linear chain makes: one per transaction built and
@@ -472,12 +589,23 @@ def test_each_microblock_is_hashed_once_per_height_not_each_append(monkeypatch):
     assert count_microblock_hashes(monkeypatch)[0] == calls
 
 
-def test_each_public_key_is_loaded_once(key_loads):
+def test_each_public_key_is_loaded_once(key_loads, monkeypatch):
+    """Counted in this process: the worker verifies with its own key
+    cache."""
+    calls = {"inline": 0}
+    real_verify = signing_mod._verify_inline
+
+    def counting_verify(*triple):
+        calls["inline"] += 1
+        return real_verify(*triple)
+
+    monkeypatch.setattr(signing_mod, "_verify_inline", counting_verify)
     result = run_scenario(GOLDEN_BASE)
     assert result.summary["chain_digest"] == GOLDEN["none"][1]
     assert 0 < len(key_loads) == len(set(key_loads))
-    # every other verify reuses a loaded key
-    assert signing_mod._load_public_key.cache_info().hits > len(key_loads)
+    # every other inline verify reuses a loaded key
+    hits = signing_mod._load_public_key.cache_info().hits
+    assert 0 < hits == calls["inline"] - len(key_loads)
 
 
 def test_each_round_takes_one_tip_view_plus_the_adversarys(monkeypatch):
