@@ -233,8 +233,8 @@ def share(
         if tx.payload.receiver_id != source.address:
             raise ValueError("record did not originate at the source institution")
         outer_ct = source.store.get(tx.payload.pointer)
-        inner_ct = unseal_layer(outer_ct, source.sym_key, "outer")
-        plaintext = unseal_layer(inner_ct, patient.sym_key, "inner")
+        inner_ct = unseal_layer(outer_ct, source.sym_key)
+        plaintext = unseal_layer(inner_ct, patient.sym_key)
         record_id = hashlib.sha256(plaintext).hexdigest()[:16]
         target.plaintext_holdings.add(record_id)
         delivered.append(plaintext)

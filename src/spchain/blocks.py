@@ -52,8 +52,8 @@ class TxCertificate:
     """A subject's share of its batch's votes: the batch root, the
     subject's index and inclusion path, and the members whose verified
     bitmap accepts it. A keyblock's hash is entry 0 of its round's batch,
-    ahead of the transactions of the round's first segment; a transaction
-    is an entry of its segment's batch."""
+    ahead of the round's transactions; a round that mines no keyblock
+    votes on its transactions alone."""
 
     batch_root: bytes
     index: int

@@ -70,14 +70,12 @@ def seal_emr(record: bytes, patient_key: SymmetricKey, institution_key: Symmetri
     )
 
 
-def unseal_layer(sealed: "SealedEmr | bytes", key: SymmetricKey, layer: str) -> bytes:
-    """Strip one layer.
+def unseal_layer(sealed: "SealedEmr | bytes", key: SymmetricKey) -> bytes:
+    """Strip the layer that ``key`` sealed.
 
-    ``layer="outer"`` takes the SealedEmr (or its ciphertext) with the
-    institution key and yields the inner ciphertext; ``layer="inner"``
-    takes that inner ciphertext with the patient key and yields the record.
+    The institution key takes the SealedEmr (or its ciphertext) and yields
+    the inner ciphertext; the patient key takes that inner ciphertext and
+    yields the record.
     """
-    if layer not in ("outer", "inner"):
-        raise ValueError(f"unknown layer {layer!r}")
     blob = sealed.ciphertext if isinstance(sealed, SealedEmr) else sealed
     return _decrypt(key, blob)

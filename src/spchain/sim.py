@@ -5,10 +5,10 @@ the puzzle with attempt budgets proportional to their power share, and a
 fair batch of medical/label transactions is drained from the queues. The
 consensus group then votes once on the round: entry 0 of the voted batch
 is the winning keyblock's hash, and the other entries are the batch's
-first segment, decided against the chain before the keyblock lands. Each
-entry is tallied on its own. The keyblock lands first, with the patients
-it registers, then the segment's pinned transactions; a batch that a
-label splits into later segments gets one more vote per segment.
+transactions, decided against the chain as it stood when the batch was
+scheduled. Each entry is tallied on its own. The keyblock lands first,
+with the patients it registers, then the batch's pinned transactions. A
+round that mines no keyblock votes on its batch alone.
 
 Determinism: a single seeded RNG drives every random choice in a fixed
 order, and same-round transaction delivery is canonically reordered by
@@ -288,8 +288,10 @@ class Simulation:
             self.submit_round[tx.tx_id] = self.round_number
 
     def _pack_registers(self) -> list[Transaction]:
+        """The valid registers for this round's keyblock, up to its capacity.
+        Each stays in the mempool until a pinned keyblock carries it."""
         packed: list[Transaction] = []
-        kept: list[Transaction] = []
+        pending: list[Transaction] = []
         seen_digests: set[bytes] = set()
         for tx in sorted(self.register_mempool, key=lambda t: t.tx_id):
             ok, reason = self.chain.validate_tx(tx)
@@ -308,12 +310,11 @@ class Simulation:
                 # is fabrication
                 self._mark_dishonest(tx.payload.receiver_id)
                 continue
+            pending.append(tx)
             if len(packed) < self.config.keyblock_capacity:
                 packed.append(tx)
                 seen_digests.add(tx.payload.identity_digest)
-            else:
-                kept.append(tx)
-        self.register_mempool = kept
+        self.register_mempool = pending
         return packed
 
     # -- mining and pinning ---------------------------------------------------
@@ -376,19 +377,18 @@ class Simulation:
 
     def _pin_keyblock(
         self, group: ConsensusGroup, block: KeyBlock, batch: list[Transaction]
-    ) -> tuple[bool, list[tuple[Transaction, TxCertificate | InsufficientQuorum]], int]:
-        """Vote once on ``block`` and the first segment of ``batch``: entry 0
-        is the keyblock's hash, and the rest are the segment's transactions,
-        decided against the chain before ``block`` lands. Entries are
-        tallied apart, so ``block`` lands if entry 0 reaches quorum, whatever
-        the segment's outcomes. Returns whether it landed, the segment's
-        transactions paired with their outcomes, and where the next segment
-        starts."""
-        txs, pos = self._decide_segment(batch, 0)
-        outcome, *tx_outcomes = self._vote_on_segment(group, [keyblock_hash(block)], txs)
+    ) -> tuple[bool, list[tuple[Transaction, TxCertificate | InsufficientQuorum]]]:
+        """Vote once on ``block`` and ``batch``: entry 0 is the keyblock's
+        hash, and the rest are the batch's transactions, decided against the
+        chain before ``block`` lands. Entries are tallied apart, so ``block``
+        lands if entry 0 reaches quorum, whatever the transactions'
+        outcomes. Returns whether it landed, and the transactions paired
+        with their outcomes."""
+        txs = self._decide_batch(batch)
+        outcome, *tx_outcomes = self._vote(group, [keyblock_hash(block)], txs)
         voted = list(zip(txs, tx_outcomes))
         if isinstance(outcome, InsufficientQuorum):
-            return False, voted, pos
+            return False, voted
         if self.chain.tip_height >= block.height:
             self.pinned_conflicts += 1
             raise InvariantViolation(
@@ -415,60 +415,46 @@ class Simulation:
                     prev_hash=self.chain.last_microblock_hash(pinned.height),
                 )
             )
-        # a late-published block may carry registers still in the mempool
         pinned_ids = {tx.tx_id for tx in pinned.register_txs}
         if pinned_ids:
             self.register_mempool = [
                 tx for tx in self.register_mempool if tx.tx_id not in pinned_ids
             ]
-        return True, voted, pos
+        return True, voted
 
     def _pin_tx_batch(
         self,
         group: ConsensusGroup,
         batch: list[Transaction],
-        voted: list[tuple[Transaction, TxCertificate | InsufficientQuorum]],
-        pos: int,
+        voted: Optional[list[tuple[Transaction, TxCertificate | InsufficientQuorum]]],
     ) -> int:
-        """Land ``voted``, the first segment's transactions with their
-        outcomes, then decide and vote on each later segment of ``batch``
-        from ``pos`` on, one vote per segment. Returns how many were
-        pinned."""
+        """Land ``voted``, the transactions of ``batch`` with their outcomes;
+        ``None`` when no keyblock vote covered ``batch``, which is then
+        decided and voted on here. Returns how many were pinned."""
+        if voted is None:
+            txs = self._decide_batch(batch)
+            voted = list(zip(txs, self._vote(group, [], txs))) if txs else []
         pinned_count = 0
         requeue: dict[str, list[Transaction]] = {}
-        while True:
-            for tx, outcome in voted:
-                if isinstance(outcome, InsufficientQuorum):
-                    # back to the head of its queue (FIFO preserved); retried
-                    # next interval
-                    requeue.setdefault(tx.payload.receiver_id, []).append(tx)
-                    continue
-                self._append_pinned(group, tx, outcome)
-                pinned_count += 1
-            if pos == len(batch):
-                break
-            txs, pos = self._decide_segment(batch, pos)
-            voted = list(zip(txs, self._vote_on_segment(group, [], txs))) if txs else []
+        for tx, outcome in voted:
+            if isinstance(outcome, InsufficientQuorum):
+                # back to the head of its queue (FIFO preserved); retried
+                # next interval
+                requeue.setdefault(tx.payload.receiver_id, []).append(tx)
+                continue
+            self._append_pinned(group, tx, outcome)
+            pinned_count += 1
         for receiver_id, txs in requeue.items():
             self.scheduler.queues[receiver_id].extendleft(reversed(txs))
         return pinned_count
 
-    def _decide_segment(
-        self, batch: list[Transaction], pos: int
-    ) -> tuple[list[Transaction], int]:
-        """Validate ``batch`` from ``pos`` in order; return the valid
-        transactions and where the next segment starts.
-
-        A label whose target was decided in this segment ends it: the label
-        is valid only if that target is appended, so the segment is pinned
-        before the label is validated. A repeat of an id decided in this
-        segment is invalid; the first copy keeps its submit round."""
+    def _decide_batch(self, batch: list[Transaction]) -> list[Transaction]:
+        """The valid transactions of ``batch``, in order, each validated
+        against the chain as it stands. A repeat of an id decided earlier in
+        the batch is invalid; the first copy keeps its submit round."""
         valid: list[Transaction] = []
         decided: set[bytes] = set()
-        for tx in batch[pos:]:
-            if tx.tx_type is TxType.LABEL and tx.payload.target_tx_hash in decided:
-                break
-            pos += 1
+        for tx in batch:
             if tx.tx_id in decided:
                 self.invalid_txs += 1
                 continue
@@ -479,14 +465,12 @@ class Simulation:
                 self.submit_round.pop(tx.tx_id, None)
                 continue
             valid.append(tx)
-        return valid, pos
+        return valid
 
-    def _vote_on_segment(
-        self, group: ConsensusGroup, head: list[bytes], txs: list[Transaction]
-    ):
-        """The tally of one vote on ``head``, a keyblock hash or nothing,
-        followed by the segment ``txs``: each entry's certificate or
-        shortfall, in that order. Every member accepts the head."""
+    def _vote(self, group: ConsensusGroup, head: list[bytes], txs: list[Transaction]):
+        """The tally of the round's one vote on ``head``, a keyblock hash or
+        nothing, followed by ``txs``: each entry's certificate or shortfall,
+        in that order. Every member accepts the head."""
         adversary = self.adversary
 
         def accepts(miner_id: str) -> list[bool]:
@@ -563,19 +547,14 @@ class Simulation:
         self._spawn_patients()
         self._generate_traffic()
 
-        registers = self._pack_registers()
-        block = self._mine_round(registers)
+        block = self._mine_round(self._pack_registers())
         batch = schedule_batch(self.scheduler, reputations)
-        landed, voted, pos = False, [], 0
+        landed, voted = False, None
         if block is not None:
-            landed, voted, pos = self._pin_keyblock(group, block, batch)
-            if not landed:
-                self.register_mempool.extend(block.register_txs)
-        else:
-            self.register_mempool.extend(registers)
+            landed, voted = self._pin_keyblock(group, block, batch)
         keyblock_pinned = int(landed)
         registers_pinned = len(block.register_txs) if landed else 0
-        micro_pinned = self._pin_tx_batch(group, batch, voted, pos)
+        micro_pinned = self._pin_tx_batch(group, batch, voted)
 
         kb_tps = registers_pinned / cfg.kb_interval_s
         if micro_pinned > 0:

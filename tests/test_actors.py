@@ -90,8 +90,8 @@ def test_upload_seals_stores_and_validates(clinic):
     assert tx.payload.pointer in hospital.store
     # ciphertext is a double envelope: institution outer, patient inner
     outer_ct = hospital.store.get(tx.payload.pointer)
-    inner = unseal_layer(outer_ct, hospital.sym_key, "outer")
-    assert unseal_layer(inner, alice.sym_key, "inner") == b"blood panel"
+    inner = unseal_layer(outer_ct, hospital.sym_key)
+    assert unseal_layer(inner, alice.sym_key) == b"blood panel"
     # plaintext confinement after upload: patient and origin only
     assert record.record_id in alice.plaintext_holdings
     assert record.record_id in hospital.plaintext_holdings

@@ -29,8 +29,8 @@ def keys():
 def test_double_envelope_roundtrip():
     patient_key, institution_key = keys()
     sealed = seal_emr(b"blood panel: normal", patient_key, institution_key)
-    inner = unseal_layer(sealed, institution_key, "outer")
-    assert unseal_layer(inner, patient_key, "inner") == b"blood panel: normal"
+    inner = unseal_layer(sealed, institution_key)
+    assert unseal_layer(inner, patient_key) == b"blood panel: normal"
 
 
 def test_deterministic_sealing():
@@ -46,10 +46,10 @@ def test_wrong_key_fails_closed():
     stranger = symmetric_key_from_seed(b"someone-else")
     sealed = seal_emr(b"secret", patient_key, institution_key)
     with pytest.raises(EnvelopeAuthError):
-        unseal_layer(sealed, stranger, "outer")
-    inner = unseal_layer(sealed, institution_key, "outer")
+        unseal_layer(sealed, stranger)
+    inner = unseal_layer(sealed, institution_key)
     with pytest.raises(EnvelopeAuthError):
-        unseal_layer(inner, stranger, "inner")
+        unseal_layer(inner, stranger)
 
 
 def test_layer_order_enforced():
@@ -57,7 +57,7 @@ def test_layer_order_enforced():
     sealed = seal_emr(b"secret", patient_key, institution_key)
     # the patient key cannot open the outer layer
     with pytest.raises(EnvelopeAuthError):
-        unseal_layer(sealed, patient_key, "outer")
+        unseal_layer(sealed, patient_key)
 
 
 def test_tampered_ciphertext_rejected():
@@ -66,7 +66,7 @@ def test_tampered_ciphertext_rejected():
     corrupted = bytearray(sealed.ciphertext)
     corrupted[-1] ^= 0x01
     with pytest.raises(EnvelopeAuthError):
-        unseal_layer(bytes(corrupted), institution_key, "outer")
+        unseal_layer(bytes(corrupted), institution_key)
 
 
 def test_key_ids_recorded():

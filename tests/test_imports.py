@@ -1,9 +1,10 @@
 """Every imported name is used in the file that imports it, only the
-chameleon arithmetic imports the pairing group, and every top-level def in
-the package has a caller in it or a stated reason to stay."""
+chameleon arithmetic imports the pairing group, and every top-level def and
+method in the package has a caller in it or a stated reason to stay."""
 
 import ast
 import pathlib
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = [
@@ -86,14 +87,19 @@ def test_only_the_chameleon_arithmetic_imports_the_pairing_group():
     assert "chameleon.py" in importers
 
 
-# defs with no caller in src/spchain, each with the reason it stays
+# defs and methods with no caller in src/spchain, each with the reason it stays
 UNCALLED_ALLOWED = {
     "consensus.pin": "traced by perfbench/tracing.py, which needs every target to resolve",
     "actors.share": "protocol operation: dual-control sharing between institutions",
     "actors.retrieve_history": "protocol operation: perfbench's history reads call it",
     "blocks.encode_block": "the block codec that a chain verifier (`spchain verify`) will use",
     "blocks.decode_block": "the block codec that a chain verifier (`spchain verify`) will use",
+    "scheduler.SchedulerState.total_pending": "perfbench's `_scheduled` observer calls it",
 }
+
+
+def attribute_names(node: ast.AST) -> Counter:
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
 
 
 def uncalled_defs(sources: dict[str, str]) -> list[str]:
@@ -101,7 +107,9 @@ def uncalled_defs(sources: dict[str, str]) -> list[str]:
     (module name -> source of a sibling module in one package) that no
     other top-level statement names: directly in its own module, through
     ``from .module import name [as alias]``, or as ``module.name`` after
-    ``from . import module``."""
+    ``from . import module``. Also ``module.Class.method`` of each method,
+    dunders aside, whose name no attribute outside its own body takes, in
+    any of the modules."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     defined = [
         (module, stmt.name)
@@ -132,7 +140,21 @@ def uncalled_defs(sources: dict[str, str]) -> list[str]:
                     owner = bound.get(node.value.id)
                     if owner is not None and owner[1] is None:
                         referenced.add((owner[0], node.attr))
-    return sorted(f"{m}.{n}" for m, n in defined if (m, n) not in referenced)
+    # a method is called when an attribute outside its own body names it
+    everywhere = sum((attribute_names(tree) for tree in trees.values()), Counter())
+    uncalled_methods = [
+        f"{module}.{cls.name}.{stmt.name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
+        and everywhere[stmt.name] == attribute_names(stmt)[stmt.name]
+    ]
+    return sorted(
+        [f"{m}.{n}" for m, n in defined if (m, n) not in referenced] + uncalled_methods
+    )
 
 
 def test_caller_scan_flags_uncalled_and_spares_called():
@@ -145,14 +167,21 @@ def test_caller_scan_flags_uncalled_and_spares_called():
             "class Unused: pass\n"
             "def unused(): pass\n"
             "def caller(): return direct()\n"
+            "class Used:\n"
+            "    def __init__(self): pass\n"
+            "    def called(self): pass\n"
+            "    def loop(self): return self.loop()\n"
+            "    def idle(self): pass\n"
         ),
         "b": (
             "from . import a\n"
             "from .a import aliased as other\n"
-            "x = other, a.dotted, unused\n"
+            "x = other, a.dotted, unused, a.Used().called\n"
         ),
     }
-    assert uncalled_defs(sources) == ["a.Unused", "a.caller", "a.recursive", "a.unused"]
+    assert uncalled_defs(sources) == [
+        "a.Unused", "a.Used.idle", "a.Used.loop", "a.caller", "a.recursive", "a.unused",
+    ]
 
 
 def test_every_def_in_the_package_has_a_caller_or_a_reason():

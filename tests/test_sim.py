@@ -18,7 +18,7 @@ from spchain.blocks import (
     keyblock_hash,
     merkle_root,
 )
-from spchain.chain import LABEL_TARGET_MISSING, ChainState
+from spchain.chain import LABEL_TARGET_MISSING, OK, ChainState
 from spchain.consensus import ConsensusGroup, GroupMember
 from spchain.metrics import CSV_HEADER_COMMENT, metrics_csv_text, reputation_csv_text
 from spchain.mining import check_puzzle
@@ -181,6 +181,23 @@ def test_a_forged_register_copy_is_invalid_not_evidence(forgery):
     assert all(sim.honest.values())
 
 
+def test_a_register_stays_pending_until_a_pinned_keyblock_carries_it():
+    """A selfish miner's late block can land carrying an older register set
+    than the round packed; every register it leaves out stays in the
+    mempool, so each spawned patient is registered or pending."""
+    cfg = ScenarioConfig(
+        seed=2, rounds=6, miner_count=4, group_size=3, patient_count=200,
+        patient_arrival_per_round=3, upload_rate=0.3, label_rate=0.0,
+        adversary_type="selfish", adversary_power=0.9, adversary_withhold_rounds=1,
+    )
+    sim = Simulation(cfg)
+    for _ in range(cfg.rounds):
+        sim.run_round()
+        pending = {tx.sender_pk for tx in sim.register_mempool}
+        for patient_id, patient in sim.patients.items():
+            assert patient_id in sim.chain.patients or patient.keypair.public_key in pending
+
+
 def test_weight_floor_bootstraps_round_one():
     sim = Simulation(BASE)
     record = sim.run_round()
@@ -212,7 +229,7 @@ def one_patient_sim(adversary_type):
     (patient,) = sim.patients.values()
     earlier = visit(sim, patient, sim.miners[1], b"earlier")
     sim.scheduler.enqueue(sim.miners[1].address, earlier)
-    assert sim._pin_tx_batch(group, schedule_batch(sim.scheduler, {}), [], 0) == 1
+    assert sim._pin_tx_batch(group, schedule_batch(sim.scheduler, {}), None) == 1
     return sim, group, patient, earlier
 
 
@@ -235,10 +252,11 @@ def label_of(sim, patient, inst, target_tx_id):
 
 
 @pytest.mark.parametrize("adversary_type", ["none", "inhibition"])
-def test_label_sees_its_target_decided_earlier_in_the_batch(adversary_type):
-    """A label behind its own target in one batch is validated against the
-    chain the target's outcome leaves: pinned when the target was pinned,
-    LABEL_TARGET_MISSING when the target missed quorum and was requeued."""
+def test_a_label_behind_its_unpinned_target_in_one_batch_is_refused(adversary_type, monkeypatch):
+    """The round decides its batch once, against the chain as it stood when
+    the batch was scheduled, so a label whose target is earlier in the same
+    batch is LABEL_TARGET_MISSING, whatever the target's outcome: pinned,
+    or requeued when it misses quorum. The round votes once."""
     sim, group, patient, earlier = one_patient_sim(adversary_type)
     victim = sim.miners[0]
     if adversary_type == "inhibition":
@@ -254,28 +272,39 @@ def test_label_sees_its_target_decided_earlier_in_the_batch(adversary_type):
     batch = schedule_batch(sim.scheduler, {})
     assert batch == [m, l]
     invalid, accesses = sim.invalid_txs, sim.chain.store_accesses
+    verdicts, votes = {}, []
+    real_validate, real_batch_votes = ChainState.validate_tx, Simulation._batch_votes
 
-    pinned = sim._pin_tx_batch(group, batch, [], 0)
+    def validate_tx(self, tx):
+        verdicts[tx.tx_id] = real_validate(self, tx)
+        return verdicts[tx.tx_id]
 
+    def batch_votes(self, group, subjects, accepts):
+        votes.append(subjects)
+        return real_batch_votes(self, group, subjects, accepts)
+
+    monkeypatch.setattr(ChainState, "validate_tx", validate_tx)
+    monkeypatch.setattr(Simulation, "_batch_votes", batch_votes)
+    pinned = sim._pin_tx_batch(group, batch, None)
+
+    assert verdicts == {m.tx_id: (True, OK), l.tx_id: (False, LABEL_TARGET_MISSING)}
+    assert votes == [[m.tx_id]]
+    assert sim.invalid_txs == invalid + 1
+    assert sim.chain.store_accesses == accesses + 1  # scanned earlier only
+    assert l.tx_id not in sim.submit_round
     txs = sim.chain.microblocks[patient.address].txs
     queue = list(sim.scheduler.queues[victim.address])
     if adversary_type == "none":
-        assert pinned == 2
-        assert txs == (earlier, m, l)
+        assert pinned == 1
+        assert txs == (earlier, m)
         assert queue == [later]
-        assert sim.invalid_txs == invalid
-        assert sim.chain.store_accesses == accesses + 2  # scanned earlier, m
         assert m.tx_id not in sim.submit_round
     else:
         # the inhibitor's refusal leaves 2 of 3 equal weights: not > 2/3
         assert pinned == 0
         assert txs == (earlier,)
         assert queue == [m, later]  # m back at the head
-        assert sim.invalid_txs == invalid + 1
-        assert sim.chain.store_accesses == accesses + 1  # scanned earlier only
         assert m.tx_id in sim.submit_round
-        assert sim.chain.validate_tx(l) == (False, LABEL_TARGET_MISSING)
-    assert l.tx_id not in sim.submit_round
 
 
 def test_replays_and_same_batch_repeats_are_pinned_once():
@@ -294,9 +323,9 @@ def test_replays_and_same_batch_repeats_are_pinned_once():
     batch = schedule_batch(sim.scheduler, {})
     assert batch == [earlier, fresh, fresh]
 
-    assert sim._pin_tx_batch(group, batch, [], 0) == 1
+    assert sim._pin_tx_batch(group, batch, None) == 1
     ref_batch = schedule_batch(reference.scheduler, {})
-    assert reference._pin_tx_batch(ref_group, ref_batch, [], 0) == 1
+    assert reference._pin_tx_batch(ref_group, ref_batch, None) == 1
 
     assert sim.chain.microblocks[patient.address].txs == (earlier, fresh)
     assert sim.invalid_txs == invalid + 2
@@ -307,15 +336,18 @@ def test_replays_and_same_batch_repeats_are_pinned_once():
 
 
 def test_a_keyblock_short_of_quorum_sinks_no_transaction(monkeypatch):
-    """The keyblock and the batch's first segment share one vote, but each
-    entry is tallied on its own: when one member of an equal-weight trio
-    rejects entry 0, the keyblock misses quorum and the segment still
-    pins."""
+    """The keyblock and the batch share one vote, but each entry is tallied
+    on its own: when one member of an equal-weight trio rejects entry 0,
+    the keyblock misses quorum and the batch still pins, with no second
+    vote."""
     sim, group, patient, earlier = one_patient_sim("none")
     dissenter = sim.miners[0].address
     real_batch_votes = Simulation._batch_votes
+    votes = []
 
     def batch_votes(self, group, subjects, accepts):
+        votes.append(subjects)
+
         def dissenting(miner_id):
             bits = accepts(miner_id)
             return [ok and (i > 0 or miner_id != dissenter) for i, ok in enumerate(bits)]
@@ -331,15 +363,16 @@ def test_a_keyblock_short_of_quorum_sinks_no_transaction(monkeypatch):
     batch = schedule_batch(sim.scheduler, {})
     tip, rewards = sim.chain.tip_height, dict(sim.kb_rewards)
 
-    landed, voted, pos = sim._pin_keyblock(group, block, batch)
+    landed, voted = sim._pin_keyblock(group, block, batch)
 
     assert not landed
     assert sim.chain.tip_height == tip and sim.kb_rewards == rewards
     ((tx, cert),) = voted
-    assert tx == fresh and pos == len(batch)
+    assert tx == fresh
     assert cert.index == 1 and len(cert.signers) == 3
-    assert sim._pin_tx_batch(group, batch, voted, pos) == 1
+    assert sim._pin_tx_batch(group, batch, voted) == 1
     assert sim.chain.microblocks[patient.address].txs == (earlier, fresh)
+    assert votes == [[keyblock_hash(block), fresh.tx_id]]
 
 
 def test_a_round_pins_its_keyblock_and_transactions_under_one_root(monkeypatch):
@@ -372,12 +405,11 @@ def test_a_round_pins_its_keyblock_and_transactions_under_one_root(monkeypatch):
 
 def count_vote_signatures(monkeypatch):
     """Run the golden ``none`` scenario; return the vote signatures made,
-    and how many the group may make when it votes once per round on the
-    keyblock and the first segment of the scheduled batch: group size
-    times (rounds that mined a keyblock or scheduled a non-empty batch,
-    plus the labels that close a segment early)."""
+    and how many the group makes when it votes once per round on the
+    keyblock and the batch: group size times the rounds that mined a
+    keyblock or decided a valid transaction."""
     counts = {"signs": 0, "allowed": 0, "mined": False}
-    real_sign, real_schedule = sim_mod.sign, sim_mod.schedule_batch
+    real_sign, real_decide = sim_mod.sign, Simulation._decide_batch
     real_mine_round = Simulation._mine_round
 
     def counting_sign(msg, keypair):
@@ -389,19 +421,14 @@ def count_vote_signatures(monkeypatch):
         counts["mined"] = block is not None
         return block
 
-    def counting_schedule(state, reputations):
-        # each round schedules its batch once, after mining
-        batch = real_schedule(state, reputations)
-        seen: set[bytes] = set()
-        for tx in batch:
-            if tx.tx_type is TxType.LABEL and tx.payload.target_tx_hash in seen:
-                counts["allowed"] += GOLDEN_BASE.group_size
-            seen.add(tx.tx_id)
-        counts["allowed"] += GOLDEN_BASE.group_size * (counts["mined"] or bool(batch))
-        return batch
+    def counting_decide(self, batch):
+        # each round decides its batch once, after mining
+        valid = real_decide(self, batch)
+        counts["allowed"] += GOLDEN_BASE.group_size * (counts["mined"] or bool(valid))
+        return valid
 
     monkeypatch.setattr(sim_mod, "sign", counting_sign)
-    monkeypatch.setattr(sim_mod, "schedule_batch", counting_schedule)
+    monkeypatch.setattr(Simulation, "_decide_batch", counting_decide)
     monkeypatch.setattr(Simulation, "_mine_round", counting_mine_round)
     result = run_scenario(GOLDEN_BASE)
     assert result.summary["chain_digest"] == GOLDEN["none"][1]
@@ -409,8 +436,11 @@ def count_vote_signatures(monkeypatch):
 
 
 def test_group_signs_each_batch_once_not_each_tx(monkeypatch):
+    record = record_vote_checks(monkeypatch)
     signs, allowed, pinned = count_vote_signatures(monkeypatch)
-    assert 0 < signs <= allowed
+    assert 0 < signs == allowed
+    # the group's epoch is the round number
+    assert max(Counter(group.epoch for group, _, _ in record["votes"]).values()) == 1
     # per-transaction voting would sign every pinned transaction
     assert signs < GOLDEN_BASE.group_size * pinned
     assert count_vote_signatures(monkeypatch)[0] == signs
