@@ -41,11 +41,9 @@ def _cell_config(
         emr_size_bytes=256,
         batch_cap=10_000,  # capacity-limited, not cap-limited
     )
-    config = dataclasses.replace(
-        config, patient_arrival_per_round=config.keyblock_capacity
-    )
+    # the capacity is only defined for a valid block size
     config.validate()
-    return config
+    return dataclasses.replace(config, patient_arrival_per_round=config.keyblock_capacity)
 
 
 def run_cell(

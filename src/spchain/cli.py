@@ -82,6 +82,8 @@ def _parse_number_list(raw: str, cast, flag: str):
         raise ConfigError(f"{flag} expects a comma-separated list") from None
     if not values:
         raise ConfigError(f"{flag} must not be empty")
+    if not all(v > 0 for v in values):
+        raise ConfigError(f"{flag} values must be positive")
     return values
 
 

@@ -9,8 +9,11 @@ verifying inline. It is a process, not a thread, because ``cryptography``'s
 out of requests, the worker polls its pipe for ``SPIN_S`` before it sleeps
 in ``select``: waking a sleeping process costs about 100 us on a 2-vCPU
 host, and paid on each request it left the two CPUs taking turns instead
-of overlapping. Any pipe or worker failure stops the worker and drops its
-verdicts, and every later check in the process is made inline.
+of overlapping. The two sides share work: a ``verify_sig`` whose verdict
+has not arrived verifies the newest triple the worker has not started
+instead of waiting, so whichever CPU is free makes the next check. Any
+pipe or worker failure stops the worker and drops its verdicts, and every
+later check in the process is made inline.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import collections
 import functools
 import gc
 import hashlib
+import mmap
 import os
 import select
 import signal
@@ -46,6 +50,13 @@ SPIN_S = 0.001
 
 # each field of a triple on the wire: its length, then its bytes
 _LEN = struct.Struct(">I")
+
+# the state of a triple's slot in the shared page: not started, being or
+# been verified by the worker, or taken by the parent
+_FREE, _WORKER, _PARENT = 0, 1, 2
+_FREE_BYTE = bytes((_FREE,))
+# the worker's reply to a triple the parent took: no verdict
+_SKIP = 2
 
 Triple = tuple[bytes, bytes, bytes]
 
@@ -137,9 +148,15 @@ class _Worker:
     """The parent's end of a forked verifier, and the verdicts it sent.
 
     Requests are triples, each field length-prefixed; the worker answers
-    each with one byte, 1 for a valid signature, in the order sent."""
+    each with one byte, in the order sent: 1 for a valid signature, 0 for
+    an invalid one, ``_SKIP`` for one the parent took. Triple k owns byte
+    k % ``VERDICTS_MAX`` of a page shared with the worker, its slot, which
+    says who verifies it. Each side reads the slot, then marks it, so both
+    may read it free and both verify the triple; the check is a pure
+    function, so the two verdicts agree, and the parent keeps its own."""
 
     def __init__(self) -> None:
+        self.slots = mmap.mmap(-1, VERDICTS_MAX)
         fds: list[int] = []
         try:
             fds += os.pipe()
@@ -148,17 +165,21 @@ class _Worker:
         except OSError:
             for fd in fds:
                 os.close(fd)
+            self.slots.close()
             raise
         request_r, self.requests, self.replies, reply_w = fds
         if self.pid == 0:
             os.close(self.requests)
             os.close(self.replies)
-            _serve(request_r, reply_w)
+            _serve(request_r, reply_w, self.slots)
         os.close(request_r)
         os.close(reply_w)
+        os.set_blocking(self.replies, False)
         # True or False once answered, None while in flight
         self.verdicts: dict[Triple, Optional[bool]] = {}
         self.in_flight: collections.deque[Triple] = collections.deque()
+        # triples sent so far: the next one's number
+        self.sent = 0
 
     def send(self, triples: list[Triple]) -> None:
         verdicts, out = self.verdicts, []
@@ -173,6 +194,10 @@ class _Worker:
                 del verdicts[next(iter(verdicts))]
             verdicts[triple] = None
             self.in_flight.append(triple)
+            # the slot's last triple has been answered, as at most
+            # VERDICTS_MAX are in flight
+            self.slots[self.sent % VERDICTS_MAX] = _FREE
+            self.sent += 1
             for part in triple:
                 out.append(_LEN.pack(len(part)))
                 out.append(part)
@@ -180,35 +205,72 @@ class _Worker:
 
     def claim(self, triple: Triple) -> Optional[bool]:
         """The verdict on ``triple``, taken out of the store; None if it
-        was not sent or was dropped."""
+        was not sent or was dropped. Until it is known, the parent records
+        the replies that have arrived, then verifies a triple the worker
+        has not started, and waits only when the worker holds them all."""
         verdicts = self.verdicts
         if triple not in verdicts:
             return None
         while verdicts[triple] is None:
-            self._receive()
+            self._receive(wait=False)
+            if verdicts[triple] is None and not self._steal():
+                self._receive()
         return verdicts.pop(triple)
+
+    def _steal(self) -> bool:
+        """Take the newest in-flight triple the worker has not started and
+        verify it inline if its verdict is still wanted; False when the
+        worker holds every in-flight triple."""
+        slots, in_flight, verdicts = self.slots, self.in_flight, self.verdicts
+        first = (self.sent - len(in_flight)) % VERDICTS_MAX
+        end = first + len(in_flight)
+        while True:
+            if end > VERDICTS_MAX:
+                # the in-flight slots wrap round the end of the page
+                slot = slots.rfind(_FREE_BYTE, 0, end - VERDICTS_MAX)
+                if slot < 0:
+                    slot = slots.rfind(_FREE_BYTE, first, VERDICTS_MAX)
+            else:
+                slot = slots.rfind(_FREE_BYTE, first, end)
+            if slot < 0:
+                return False
+            slots[slot] = _PARENT
+            taken = in_flight[(slot - first) % VERDICTS_MAX]
+            # a dropped triple, or a repeat of one already judged, needs none
+            if taken in verdicts and verdicts[taken] is None:
+                verdicts[taken] = _verify_inline(*taken)
+                return True
 
     def _write(self, data: bytes) -> None:
         view = memoryview(data)
         while view:
             view = view[os.write(self.requests, view) :]
 
-    def _receive(self) -> None:
-        """Record the verdicts that have arrived, waiting for at least
-        one."""
-        data = os.read(self.replies, 1 << 16)
+    def _receive(self, wait: bool = True) -> None:
+        """Record the replies that have arrived; with ``wait``, wait for
+        at least one."""
+        try:
+            data = os.read(self.replies, 1 << 16)
+        except BlockingIOError:
+            if not wait:
+                return
+            select.select([self.replies], [], [])
+            data = os.read(self.replies, 1 << 16)
         if not data or len(data) > len(self.in_flight):
             raise BrokenPipeError("the verify worker stopped answering")
         verdicts, in_flight = self.verdicts, self.in_flight
         for byte in data:
             triple = in_flight.popleft()
-            # a dropped triple, or a repeat sent after its drop, may be gone
-            if triple in verdicts and verdicts[triple] is None:
+            # a skip says nothing: the triple may have been taken, claimed
+            # and sent again. A dropped triple, or a repeat sent after its
+            # drop, may be gone
+            if byte != _SKIP and triple in verdicts and verdicts[triple] is None:
                 verdicts[triple] = byte == 1
 
     def close(self) -> None:
         os.close(self.requests)
         os.close(self.replies)
+        self.slots.close()
 
     def reap(self) -> None:
         try:
@@ -217,10 +279,11 @@ class _Worker:
             pass
 
 
-def _serve(requests: int, replies: int) -> None:
-    """The worker's loop: verify each triple read from ``requests`` and
-    answer on ``replies``; exit at the end of the requests or on any
-    error, without running the parent's exit handlers."""
+def _serve(requests: int, replies: int, slots: mmap.mmap) -> None:
+    """The worker's loop: verify each triple read from ``requests`` that
+    the parent has not taken, and answer on ``replies``; exit at the end of
+    the requests or on any error, without running the parent's exit
+    handlers."""
     try:
         # the loop makes no cycles, and a collection would touch, and so
         # copy, every page of the parent's heap
@@ -228,6 +291,7 @@ def _serve(requests: int, replies: int) -> None:
         # the parent's Ctrl-C ends the worker through the closed pipe
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         read = _Requests(requests).read
+        number = 0
         while True:
             triple = []
             for _ in range(3):
@@ -239,7 +303,13 @@ def _serve(requests: int, replies: int) -> None:
                 if len(part) < size:
                     return
                 triple.append(part)
-            os.write(replies, b"\x01" if _verify_inline(*triple) else b"\x00")
+            slot, number = number % VERDICTS_MAX, number + 1
+            if slots[slot] == _PARENT:
+                reply = _SKIP
+            else:
+                slots[slot] = _WORKER
+                reply = _verify_inline(*triple)
+            os.write(replies, bytes((reply,)))
     finally:
         os._exit(0)
 

@@ -62,7 +62,7 @@ from .reputation import (
 )
 from .rewards import FeeSchedule, distribute_rewards
 from .scheduler import SchedulerState, schedule_batch
-from .signing import Triple, sign, verify_ahead
+from .signing import sign, verify_ahead
 from .simconfig import ScenarioConfig
 from .tx import Transaction, TxType
 
@@ -80,10 +80,6 @@ WEIGHT_FLOOR = 0.01
 # verification per pinned transaction, per member
 BFT_BASE_S = 0.05
 PER_TX_VERIFY_S = 0.01
-
-# transactions whose signatures go to the verify worker together while a
-# round's traffic is built; the rest go once it is staged
-VERIFY_CHUNK = 4
 
 
 @dataclass
@@ -234,16 +230,13 @@ class Simulation:
     def _generate_traffic(self) -> None:
         cfg = self.config
         staged: list[Transaction] = []
-        checks: list[Triple] = []
 
         def stage(tx: Transaction) -> None:
-            # the worker checks the signature while the round goes on;
-            # validate_tx collects its verdict
+            # the signature goes to the verify worker as soon as it exists;
+            # validate_tx collects the verdict, or makes the check itself if
+            # the worker has not started it
             staged.append(tx)
-            checks.append((tx.body, tx.signature, tx.sender_pk))
-            if len(checks) == VERIFY_CHUNK:
-                verify_ahead(checks)
-                checks.clear()
+            verify_ahead([(tx.body, tx.signature, tx.sender_pk)])
 
         for patient_id in sorted(self.patients):
             patient = self.patients[patient_id]
@@ -278,7 +271,6 @@ class Simulation:
                         patient, inst, target.tx_id, corrected, self.chain, fee=self.fees.tx_fee
                     )
                 )
-        verify_ahead(checks)
         # arrival order is arbitrary in a real network; members canonically
         # reorder an interval's submissions by id, which makes the pinned
         # history independent of the delivery permutation
@@ -483,17 +475,16 @@ class Simulation:
 
     def _batch_votes(self, group: ConsensusGroup, subjects: list[bytes], accepts):
         """Each member signs the batch's Merkle root and its accept bitmap,
-        ``accepts(miner_id)``, once. Votes after the first go to the verify
-        worker as they are signed, so it checks them while ``pin_batch``
-        verifies the first inline."""
+        ``accepts(miner_id)``, once. Each vote goes to the verify worker
+        as it is signed; ``pin_batch`` claims the verdicts, and checks
+        inline any vote the worker has not started."""
         root = merkle_root(subjects)
         votes = []
         for m in group.members:
             bitmap = accept_bitmap(accepts(m.miner_id))
             message = batch_vote_message(group.epoch, root, bitmap)
             signature = sign(message, self.institutions[m.miner_id].keypair)
-            if votes:
-                verify_ahead([(message, signature, m.public_key)])
+            verify_ahead([(message, signature, m.public_key)])
             votes.append((m.miner_id, bitmap, signature))
         return votes
 

@@ -9,6 +9,7 @@ fail loudly before any simulation step runs.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 ADVERSARY_TYPES = ("none", "selfish", "flash", "fraud", "inhibition")
@@ -57,6 +58,13 @@ class ScenarioConfig:
     zombie_count: int = 0
 
     def validate(self) -> None:
+        # every comparison with NaN is false, so NaN would pass the range
+        # checks below; infinity overflows the block capacity
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
+        if not all(math.isfinite(s) for s in self.power_shares):
+            raise ConfigError("power shares must be finite")
         if self.rounds < 1:
             raise ConfigError("rounds must be positive")
         if self.miner_count < 1:
@@ -102,6 +110,7 @@ class ScenarioConfig:
 
 
 _FIELD_TYPES = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
+_FLOAT_FIELDS = tuple(name for name, f in _FIELD_TYPES.items() if f.type == "float")
 
 
 def _coerce(name: str, raw: str):

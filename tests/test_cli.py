@@ -62,6 +62,10 @@ def test_bad_config_exits_2(tmp_path, capsys):
         "consensus_power_fraction = 0.9\n",
         "rep_lambda = 1\n",
         "delivery_shuffle_seed = 1\n",
+        "block_size_mb = nan\n",
+        "block_size_mb = inf\n",
+        "miner_count = 2\npower_shares = nan,1\n",
+        "kb_interval_s = inf\n",
     ):
         bad.write_text(text)
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -94,6 +98,14 @@ def test_bench_subcommand_writes_matrix(tmp_path):
     assert len(lines) == 2 + 4  # header comment + columns + 4 cells
 
 
-def test_bench_rejects_bad_lists(tmp_path):
-    code = main(["bench", "--block-sizes", "x", "--out", str(tmp_path / "o")])
-    assert code == EXIT_CONFIG
+def test_bench_rejects_bad_lists(tmp_path, capsys):
+    for flags, named in (
+        (["--block-sizes", "x"], "--block-sizes"),
+        (["--block-sizes=nan"], "--block-sizes"),
+        (["--block-sizes=inf"], "block_size_mb"),
+        (["--block-sizes=-inf"], "--block-sizes"),
+        (["--group-sizes", "0"], "--group-sizes"),
+    ):
+        assert main(["bench", *flags, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and named in err

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import os
+import random
 import select
 import signal
 import subprocess
@@ -135,6 +137,31 @@ def forbid_inline(*triple):
     raise AssertionError(f"verified inline: {triple!r}")
 
 
+def counting_inline(monkeypatch):
+    """The triples verified inline in this process from now on."""
+    inline = []
+    real_verify = signing._verify_inline
+
+    def verify(*triple):
+        inline.append(triple)
+        return real_verify(*triple)
+
+    monkeypatch.setattr(signing, "_verify_inline", verify)
+    return inline
+
+
+def answer_all(seconds=10.0):
+    """Wait until the worker has answered every triple in flight, so a
+    check takes its verdict and verifies none inline; a reply still
+    missing after ``seconds`` fails the test."""
+    held = signing._worker
+    deadline = time.monotonic() + seconds
+    while held.in_flight:
+        left = max(0.0, deadline - time.monotonic())
+        assert select.select([held.replies], [], [], left)[0], "a reply never came"
+        held._receive()
+
+
 def verdict_table():
     """(case, triple) rows with one valid signature and each way to break
     it."""
@@ -151,11 +178,19 @@ def verdict_table():
     ]
 
 
+def signed_triples(count):
+    """``count`` validly signed (message, signature, key) triples."""
+    kp = keypair_from_seed(b"signer")
+    messages = [b"record %d" % i for i in range(count)]
+    return [(m, sign(m, kp), kp.public_key) for m in messages]
+
+
 def test_worker_verdicts_equal_inline_verdicts(worker, monkeypatch):
     triples = [triple for _, triple in verdict_table()]
     expected = [signing._verify_inline(*triple) for triple in triples]
     assert expected == [True] + [False] * 5
     verify_ahead(triples)
+    answer_all()
     # the worker was forked with the real check; the parent may not use it
     monkeypatch.setattr(signing, "_verify_inline", forbid_inline)
     assert [verify_sig(*triple) for triple in triples] == expected
@@ -169,6 +204,7 @@ def test_a_forged_tx_sent_to_the_worker_gets_bad_signature(worker, monkeypatch):
     forged = dataclasses.replace(tx, signature=bytes([tx.signature[0] ^ 1]) + tx.signature[1:])
     triple = (forged.body, forged.signature, forged.sender_pk)
     verify_ahead([triple])
+    answer_all()
     monkeypatch.setattr(signing, "_verify_inline", forbid_inline)
     assert ChainState().validate_tx(forged) == (False, BAD_SIGNATURE)
     assert triple not in signing._worker.verdicts
@@ -178,14 +214,8 @@ def test_a_verdict_is_used_only_for_its_own_triple_and_once(worker, monkeypatch)
     kp, other = keypair_from_seed(b"signer"), keypair_from_seed(b"other")
     sig = sign(b"message", kp)
     verify_ahead([(b"message", sig, kp.public_key)])
-    inline = []
-    real_verify = signing._verify_inline
-
-    def counting_verify(*triple):
-        inline.append(triple)
-        return real_verify(*triple)
-
-    monkeypatch.setattr(signing, "_verify_inline", counting_verify)
+    answer_all()
+    inline = counting_inline(monkeypatch)
     # the same message and signature under another key is checked anew
     assert not verify_sig(b"message", sig, other.public_key)
     assert inline == [(b"message", sig, other.public_key)]
@@ -212,10 +242,7 @@ def test_unclaimed_verdicts_stay_within_the_bound(worker):
 
 
 def test_every_check_survives_a_killed_worker(worker):
-    kp = keypair_from_seed(b"signer")
-    messages = [b"record %d" % i for i in range(200)]
-    triples = [(m, sign(m, kp), kp.public_key) for m in messages]
-    triples += [triple for _, triple in verdict_table()]
+    triples = signed_triples(200) + [triple for _, triple in verdict_table()]
     expected = [signing._verify_inline(*triple) for triple in triples]
     verify_ahead(triples)
     pid = signing._worker.pid
@@ -285,6 +312,128 @@ def test_a_triple_written_in_two_parts_gets_the_inline_verdict(worker, monkeypat
         verdicts.append(verify_sig(*triple))
     assert verdicts == expected
     assert len(cuts) == len(triples)
+
+
+@contextlib.contextmanager
+def stopped(pid):
+    """The worker stopped by SIGSTOP for the block; SIGCONT on the way
+    out, whatever happens in it."""
+    os.kill(pid, signal.SIGSTOP)
+    try:
+        os.waitpid(pid, os.WUNTRACED)
+        yield
+    finally:
+        os.kill(pid, signal.SIGCONT)
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """Fail, rather than hang, if the block blocks for ``seconds``."""
+
+    def expire(signum, frame):
+        # not an OSError, which verify_sig takes for a worker failure
+        raise AssertionError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def start_worker():
+    """Fork the worker on a check of its own, answered and claimed; return
+    it, holding no verdict."""
+    kp = keypair_from_seed(b"warm-up")
+    triple = (b"warm-up", sign(b"warm-up", kp), kp.public_key)
+    verify_ahead([triple])
+    answer_all()
+    assert verify_sig(*triple)
+    return signing._worker
+
+
+def test_a_stopped_worker_stalls_no_check(worker, monkeypatch):
+    triples = signed_triples(50) + [triple for _, triple in verdict_table()]
+    expected = [signing._verify_inline(*triple) for triple in triples]
+    held = start_worker()
+    inline = counting_inline(monkeypatch)
+    with stopped(held.pid):
+        verify_ahead(triples)
+        with within(5.0):
+            assert [verify_sig(*triple) for triple in triples] == expected
+        # each was taken from the queue and verified inline, once
+        assert sorted(inline) == sorted(triples)
+    # the worker skips every taken triple, and answers later ones itself
+    answer_all()
+    assert signing._worker is held and held.verdicts == {}
+    verify_ahead(triples)
+    answer_all()
+    monkeypatch.setattr(signing, "_verify_inline", forbid_inline)
+    assert [verify_sig(*triple) for triple in triples] == expected
+    assert signing._worker is held
+
+
+def test_a_taken_triple_sent_again_gets_the_workers_verdict(worker, monkeypatch):
+    table = dict(verdict_table())
+    valid, forged = table["valid"], table["flipped signature bit"]
+    held = start_worker()
+    with stopped(held.pid):
+        verify_ahead([valid, forged])
+        with within(5.0):
+            assert verify_sig(*valid) and not verify_sig(*forged)
+        verify_ahead([valid, forged])
+        assert held.verdicts == {valid: None, forged: None}
+    monkeypatch.setattr(signing, "_verify_inline", forbid_inline)
+    # two skips, then a verdict on each triple sent again: a skip taken
+    # for a verdict would read False for the valid one or True for the
+    # forged one, and be kept over the worker's
+    answer_all()
+    assert held.verdicts == {valid: True, forged: False}
+    assert verify_sig(*valid) and not verify_sig(*forged)
+
+
+def test_no_reply_is_lost_or_extra_when_the_two_sides_share_work(worker, monkeypatch):
+    triples = signed_triples(40) + [triple for _, triple in verdict_table()]
+    expected = dict(zip(triples, [signing._verify_inline(*triple) for triple in triples]))
+    first, second = triples[:20], triples[20:]
+    # a short ring of slots, reused many times over below
+    monkeypatch.setattr(signing, "VERDICTS_MAX", 32)
+    held = start_worker()
+    inline = counting_inline(monkeypatch)
+    with stopped(held.pid):
+        verify_ahead(first)
+        with within(5.0):
+            # newest first: each claim takes just its own triple
+            for triple in reversed(first[10:]):
+                assert verify_sig(*triple) == expected[triple]
+        assert sorted(inline) == sorted(first[10:])
+    # the worker skips ten and checks ten, while more arrive and the two
+    # sides split those as it happens
+    with within(10.0):
+        verify_ahead(second)
+        for triple in first[:10] + second:
+            assert verify_sig(*triple) == expected[triple]
+        answer_all()
+    assert signing._worker is held
+    assert held.verdicts == {} and not held.in_flight
+    assert held.sent == 1 + len(triples)
+    # batches claimed in random order, some left unclaimed and sent again
+    # or dropped
+    rng = random.Random(7)
+    with within(30.0):
+        for _ in range(30):
+            batch = rng.sample(triples, 20)
+            verify_ahead(batch)
+            rng.shuffle(batch)
+            for triple in batch[:15]:
+                assert verify_sig(*triple) == expected[triple]
+        answer_all()
+    assert signing._worker is held and not held.in_flight
+    assert all(verdict == expected[triple] for triple, verdict in held.verdicts.items())
+    # and no reply comes after the last one due
+    assert not select.select([held.replies], [], [], 0.05)[0]
 
 
 def cpu_seconds(pid):

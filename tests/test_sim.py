@@ -449,11 +449,17 @@ def test_group_signs_each_batch_once_not_each_tx(monkeypatch):
 def record_vote_checks(monkeypatch):
     """Record, in this process, each vote's triples as cast and as sent
     ahead, every vote check ``pin_batch`` makes, and how each check was
-    answered: inline, or by a verdict claimed from the worker."""
-    record = {"votes": [], "ahead": None, "checks": [], "inline": [], "claimed": []}
+    answered: inline (a triple taken from the worker's queue counts here
+    too, and is also listed with its verdict under ``stolen``), or by a
+    verdict from the worker, claimed."""
+    record = {
+        "votes": [], "ahead": None, "checks": [], "inline": [], "stolen": [], "claimed": [],
+        "stealing": False, "answered": set(),
+    }
     real_batch_votes, real_ahead = Simulation._batch_votes, sim_mod.verify_ahead
     real_check, real_inline = consensus_mod.verify_sig, signing_mod._verify_inline
-    real_claim = signing_mod._Worker.claim
+    real_claim, real_steal = signing_mod._Worker.claim, signing_mod._Worker._steal
+    real_receive = signing_mod._Worker._receive
 
     def batch_votes(self, group, subjects, accepts):
         record["ahead"] = []
@@ -478,11 +484,28 @@ def record_vote_checks(monkeypatch):
 
     def inline(*triple):
         record["inline"].append(triple)
-        return real_inline(*triple)
+        verdict = real_inline(*triple)
+        if record["stealing"]:
+            record["stolen"].append((triple, verdict))
+        return verdict
+
+    def steal(self):
+        record["stealing"] = True
+        try:
+            return real_steal(self)
+        finally:
+            record["stealing"] = False
+
+    def receive(self, wait=True):
+        # the triples whose verdicts the worker's replies set
+        pending = {t for t in self.in_flight if t in self.verdicts and self.verdicts[t] is None}
+        real_receive(self, wait)
+        record["answered"].update(t for t in pending if self.verdicts.get(t) is not None)
 
     def claim(self, triple):
         verdict = real_claim(self, triple)
-        if verdict is not None:
+        if triple in record["answered"]:
+            record["answered"].discard(triple)
             record["claimed"].append((triple, verdict))
         return verdict
 
@@ -490,11 +513,13 @@ def record_vote_checks(monkeypatch):
     monkeypatch.setattr(sim_mod, "verify_ahead", verify_ahead)
     monkeypatch.setattr(consensus_mod, "verify_sig", check)
     monkeypatch.setattr(signing_mod, "_verify_inline", inline)
+    monkeypatch.setattr(signing_mod._Worker, "_steal", steal)
+    monkeypatch.setattr(signing_mod._Worker, "_receive", receive)
     monkeypatch.setattr(signing_mod._Worker, "claim", claim)
     return record
 
 
-def test_votes_after_the_first_go_to_the_worker_and_each_is_verified_once(monkeypatch):
+def test_every_vote_goes_ahead_as_signed_and_each_is_verified_once(monkeypatch):
     record = record_vote_checks(monkeypatch)
     result = run_scenario(GOLDEN_BASE)
     assert result.summary["chain_digest"] == GOLDEN["none"][1]
@@ -502,20 +527,25 @@ def test_votes_after_the_first_go_to_the_worker_and_each_is_verified_once(monkey
     assert len(record["votes"]) >= GOLDEN_BASE.rounds
     for group, cast, ahead in record["votes"]:
         assert len(cast) == len(group.members)
-        # each vote but the first, as signed
-        assert ahead == cast[1:]
+        # every vote, as signed
+        assert ahead == cast
     cast = Counter(t for _, votes, _ in record["votes"] for t in votes)
     assert Counter(record["checks"]) == cast
+    # each vote is answered once: by one inline verify in this process, or
+    # by one worker verdict, claimed
     inline = Counter(t for t in record["inline"] if t in cast)
     claimed = Counter(t for t, _ in record["claimed"] if t in cast)
     assert inline + claimed == cast
-    assert sum(claimed.values()) == sum(len(ahead) for _, _, ahead in record["votes"])
+    # and every inline verify of a vote took it from the worker's queue
+    stolen = Counter(t for t, _ in record["stolen"] if t in cast)
+    assert stolen == inline
 
 
 def test_a_forged_vote_judged_by_the_worker_counts_for_nothing(monkeypatch):
     """One member's votes carry 64 zero bytes for a signature. Each is
-    ignored, and no certificate lists the member, although the worker,
-    not the inline check, judged every such vote but a group's first."""
+    ignored, and no certificate lists the member, although every such
+    vote went to the worker and got its verdict there or was taken back
+    and verified inline: each one's verdict is False either way."""
     cfg = dataclasses.replace(GOLDEN_BASE, **GOLDEN["inhibition"][0])
     sim = Simulation(cfg)
     forger = sim.miners[2]
@@ -550,9 +580,11 @@ def test_a_forged_vote_judged_by_the_worker_counts_for_nothing(monkeypatch):
                 certificates += 1
                 assert forger.address not in {v.signer_id for v in outcome.signers}
     assert certificates > 0
-    later = sum(g.members[0].miner_id != forger.address for g, _ in voted)
-    forged = [verdict for triple, verdict in record["claimed"] if triple[1] == bytes(64)]
-    assert 0 < later == len(forged) and not any(forged)
+    cast = [t for _, votes, _ in record["votes"] for t in votes if t[1] == bytes(64)]
+    stolen = [verdict for triple, verdict in record["stolen"] if triple[1] == bytes(64)]
+    claimed = [verdict for triple, verdict in record["claimed"] if triple[1] == bytes(64)]
+    assert 0 < len(voted) == len(cast) == len(stolen) + len(claimed)
+    assert not any(stolen + claimed)
 
 
 def count_tx_encodings(monkeypatch):
